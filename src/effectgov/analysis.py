@@ -24,7 +24,8 @@ import numpy as np
 from .directives import Directive, Phase, Scalar, TrustLevel, make_directive
 from .policy import CapabilitySet, Policy, policy_capabilities
 
-# Cap on doubles drawn per chunk; keeps peak memory under ~100 MB.
+# Cap on geometric draws (one per trial) held at once; at 8 bytes each a
+# chunk stays under ~100 MB whatever the number of actions per trial.
 _CHUNK_BUDGET = 10_000_000
 
 
@@ -113,23 +114,27 @@ def gap_probability(coverage: float, actions: int) -> float:
 def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> float:
     """Empirical gap frequency; the Monte Carlo check on gap_probability.
 
-    Each trial draws `actions` independent Bernoulli(coverage) coverage
-    events and counts as breached when any event misses. Deterministic for
-    a given seed (PCG64, draws consumed in trial-major order).
+    Each trial draws the index of its first unmonitored action, G ~
+    Geometric(1 - coverage) on {1, 2, ...}, and counts as breached when
+    G <= actions. Since P(G <= n) = 1 - coverage**n, this has exactly the
+    law of `actions` independent Bernoulli(coverage) events with at least
+    one miss, at one draw per trial whatever `actions` is. The draw uses
+    only `coverage`, never gap_probability. Deterministic for a given seed
+    (PCG64, one geometric draw per trial in trial order).
     """
     coverage = _validate_coverage(coverage)
     actions = _validate_count(actions, "actions", 0)
     trials = _validate_count(trials, "trials", 1)
-    if actions == 0:
+    if actions == 0 or coverage == 1.0:
         return 0.0
     rng = np.random.Generator(np.random.PCG64(seed))
-    chunk = max(1, min(trials, _CHUNK_BUDGET // actions))
+    miss = 1.0 - coverage
     breached = 0
     remaining = trials
     while remaining > 0:
-        count = min(chunk, remaining)
-        draws = rng.random((count, actions))
-        breached += int((draws >= coverage).any(axis=1).sum())
+        count = min(_CHUNK_BUDGET, remaining)
+        first_miss = rng.geometric(miss, count)
+        breached += int(np.count_nonzero(first_miss <= actions))
         remaining -= count
     return breached / trials
 

@@ -178,8 +178,18 @@ class GovernanceKernel:
             return self._submit_locked(directive)
 
     def submit(self, directive: Directive) -> ExecutionOutcome:
-        """Decide, execute if allowed, and record; atomic per directive."""
+        """Decide, execute if allowed, and record; atomic per directive.
+
+        Ids must be strictly increasing across submit and issue, so the
+        (kind, id) journal stays unambiguous; a later issue continues from
+        the highest id submitted.
+        """
         with self._lock:
+            if directive.id <= self._last_id:
+                raise ValueError(
+                    f"directive id {directive.id} is not above the last id {self._last_id}"
+                )
+            self._last_id = directive.id
             return self._submit_locked(directive)
 
     def _submit_locked(self, directive: Directive) -> ExecutionOutcome:
@@ -199,10 +209,15 @@ class GovernanceKernel:
                         raise HandlerError(
                             f"handler returned non-scalar {type(result).__name__}"
                         )
-                except HandlerError as exc:
+                except Exception as exc:
+                    # Any handler fault still gets its one record: the world
+                    # may already have changed.
                     status = ExecStatus.FAILED
                     result = None
-                    error = str(exc)
+                    if isinstance(exc, HandlerError):
+                        error = str(exc)
+                    else:
+                        error = f"{type(exc).__name__}: {exc}"
                 else:
                     status = ExecStatus.EXECUTED
                     digest = hashlib.sha256(canonical_value_bytes(result)).digest()

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effectgov import analysis
 from effectgov import (
     DecisionReason,
     Phase,
@@ -156,6 +158,8 @@ def test_simulate_monitor_edges():
     assert simulate_monitor(1.0, 100, 1000, seed=1) == 0.0
     assert simulate_monitor(0.0, 1, 1000, seed=1) == 1.0
     assert simulate_monitor(0.5, 0, 1000, seed=1) == 0.0
+    # The smallest miss probability a float allows: a valid count, no error.
+    assert simulate_monitor(math.nextafter(1.0, 0.0), 100, 1000, seed=1) == 0.0
 
 
 def test_simulate_monitor_deterministic_for_seed():
@@ -166,12 +170,36 @@ def test_simulate_monitor_deterministic_for_seed():
     assert a != c
 
 
+def test_simulate_monitor_chunks_hold_at_most_the_budget(monkeypatch):
+    expected = simulate_monitor(0.97, 40, 20_000, seed=1234)
+    sizes = []
+
+    class SpyGenerator(np.random.Generator):
+        def geometric(self, p, size=None):
+            sizes.append(size)
+            return super().geometric(p, size)
+
+    monkeypatch.setattr(analysis, "_CHUNK_BUDGET", 3_000)
+    monkeypatch.setattr(analysis.np.random, "Generator", SpyGenerator)
+    # Chunking consumes the stream in trial order, so it leaves the result
+    # unchanged; the chunk size does not grow with the number of actions.
+    assert simulate_monitor(0.97, 40, 20_000, seed=1234) == expected
+    assert sizes == [3_000] * 6 + [2_000]
+    sizes.clear()
+    simulate_monitor(0.97, 10**15, 5_000, seed=1)
+    assert sizes == [3_000, 2_000]
+
+
 def test_simulate_monitor_matches_analytic_within_4_sigma():
     trials = 100_000
-    analytic = gap_probability(0.99, 100)
-    sigma = math.sqrt(analytic * (1 - analytic) / trials)
-    empirical = simulate_monitor(0.99, 100, trials, seed=42)
-    assert abs(empirical - analytic) < 4 * sigma
+    # (0.99999, 100_000) is the large-n regime; (0.5, 3) has miss
+    # probability >= 1/3, where numpy draws geometrics by search rather
+    # than by inversion.
+    for coverage, actions in [(0.99, 100), (0.99999, 100_000), (0.5, 3)]:
+        analytic = gap_probability(coverage, actions)
+        sigma = math.sqrt(analytic * (1 - analytic) / trials)
+        empirical = simulate_monitor(coverage, actions, trials, seed=42)
+        assert abs(empirical - analytic) < 4 * sigma, (coverage, actions)
 
 
 def test_simulate_monitor_convergence_over_random_settings():

@@ -165,6 +165,18 @@ def test_simulate_monitor_full_coverage(capsys):
     assert report["empirical"] == 0.0
 
 
+def test_simulate_monitor_trillion_actions(capsys):
+    # One draw per trial: the cost and memory do not grow with --actions.
+    code, stdout, _ = run_cli(
+        capsys, "simulate-monitor", "--coverage", repr(1 - 1e-12),
+        "--actions", str(10**12), "--trials", "20000", "--seed", "5",
+    )
+    assert code == 0
+    report = json.loads(stdout)
+    assert abs(report["analytic"] - 0.632) < 0.001
+    assert abs(report["empirical"] - report["analytic"]) < 0.02
+
+
 def test_simulate_monitor_zero_trials_is_usage_error(capsys):
     code, _, stderr = run_cli(
         capsys, "simulate-monitor", "--coverage", "0.5", "--actions", "10", "--trials", "0"

@@ -260,3 +260,69 @@ def test_journal_matches_allow_records_random_runs():
         )
         journal_ids = sorted(directive_id for _, directive_id in kernel.world.journal)
         assert journal_ids == allow_ids
+
+
+def test_hostile_handlers_still_get_one_record_each():
+    # Handlers that raise arbitrary exceptions, before or after their
+    # effect, must neither escape the boundary nor lose a record.
+    rng = random.Random(31)
+    standard = standard_registry()
+    faults = [RuntimeError("boom"), KeyError("missing"), ZeroDivisionError("zero")]
+    plan = {}  # directive id -> (when to raise: None, "before" or "after"; fault)
+
+    def hostile(capability):
+        real = standard.get(capability)
+
+        def handler(world, directive):
+            when, fault = plan[directive.id]
+            if when == "before":
+                raise fault
+            result = real(world, directive)
+            if when == "after":
+                raise fault
+            return result
+
+        return handler
+
+    registry = HandlerRegistry({cap: hostile(cap) for cap in standard.capabilities()})
+    kernel = GovernanceKernel(random_policy(rng), registry, seeded_world())
+    for directive_id in range(1, 301):
+        kind = rng.choice(["email.send", "db.query", "web.browse"])
+        when, fault = plan[directive_id] = (rng.choice([None, "before", "after"]),
+                                            rng.choice(faults))
+        outcome = kernel.issue(kind, valid_params_for(kind, rng), "s",
+                               rng.choice(list(TrustLevel)), rng.choice(list(Phase)))
+        if outcome.decision.verdict is Verdict.ALLOW and when is not None:
+            assert outcome.exec_status is ExecStatus.FAILED
+            assert outcome.result is None
+            assert outcome.error == f"{type(fault).__name__}: {fault}"
+
+    records = kernel.chain.records
+    assert [record.directive.id for record in records] == list(range(1, 301))
+    assert kernel.chain.verify().valid
+    statuses = {record.directive.id: record.exec_status for record in records}
+    assert ExecStatus.EXECUTED in statuses.values()
+    # The world journals every effect that ran, whether or not the handler
+    # raised afterwards; each such effect has its record.
+    effected = sorted(
+        directive_id
+        for directive_id, status in statuses.items()
+        if status is ExecStatus.EXECUTED
+        or (status is ExecStatus.FAILED and plan[directive_id][0] == "after")
+    )
+    journal_ids = sorted(directive_id for _, directive_id in kernel.world.journal)
+    assert journal_ids == effected
+
+
+def test_submit_ids_strictly_increase_and_issue_continues():
+    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel.submit(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=1))
+    directive = directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=7)
+    kernel.submit(directive)
+    with pytest.raises(ValueError, match="id"):
+        kernel.submit(directive)
+    with pytest.raises(ValueError, match="id"):
+        kernel.submit(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=3))
+    kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                 TrustLevel.AGENT, Phase.EXECUTE)
+    assert [record.directive.id for record in kernel.chain.records] == [1, 7, 8]
