@@ -40,7 +40,6 @@ from .directives import (
     Phase,
     Scalar,
     TrustLevel,
-    canonical_bytes,
     canonical_value_bytes,
     make_directive,
     parse_directive,
@@ -53,16 +52,13 @@ from .kernel import (
     HandlerError,
     HandlerRegistry,
     decide,
-    handler_capabilities,
 )
 from .policy import (
-    CapabilitySet,
     EMPTY_POLICY,
     Policy,
     PolicyError,
     PolicyRule,
     load_policy,
-    lookup,
     narrow,
     policy_capabilities,
     serialize_policy,
@@ -75,7 +71,6 @@ from .provenance import (
     ProvenanceRecord,
     VerificationReport,
     ZERO_DIGEST,
-    export_chain,
     import_chain,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -122,7 +117,6 @@ __all__ = [
     "ALLOW_GRANTED",
     "BenchReport",
     "Branch",
-    "CapabilitySet",
     "Chain",
     "ChainFormatError",
     "ChainIntegrityError",
@@ -171,20 +165,16 @@ __all__ = [
     "branch",
     "bundled_data",
     "bundled_path",
-    "canonical_bytes",
     "canonical_value_bytes",
     "decide",
     "emit",
     "enumerate_directive_space",
-    "export_chain",
     "gap_probability",
-    "handler_capabilities",
     "import_chain",
     "iterate",
     "layered_cost",
     "load_policy",
     "load_scenario",
-    "lookup",
     "make_directive",
     "narrow",
     "parse_directive",

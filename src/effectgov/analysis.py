@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .directives import Directive, Phase, Scalar, TrustLevel, make_directive
-from .policy import CapabilitySet, Policy, policy_capabilities
+from .policy import Policy, policy_capabilities
 
 # Cap on geometric draws (one per trial) held at once; at 8 bytes each a
 # chunk stays under ~100 MB whatever the number of actions per trial.
@@ -33,9 +33,9 @@ _CHUNK_BUDGET = 10_000_000
 class RegionReport:
     """Partition of capabilities and policy entries into the three regions."""
 
-    governed: CapabilitySet
-    ungoverned: CapabilitySet
-    theater: CapabilitySet
+    governed: frozenset[str]
+    ungoverned: frozenset[str]
+    theater: frozenset[str]
 
     @property
     def coterminous(self) -> bool:

@@ -152,12 +152,11 @@ class Directive:
             raise DirectiveError(f"directive id must be an integer, got {self.id!r}")
         if not 0 <= self.id <= MAX_DIRECTIVE_ID:
             raise DirectiveError(f"directive id {self.id} outside unsigned 64-bit range")
-        validate_kind(self.kind)
-        validate_kind(self.required_capability)
         if self.required_capability != self.kind:
             raise DirectiveError(
                 f"required_capability {self.required_capability!r} must equal kind {self.kind!r}"
             )
+        validate_kind(self.kind)
         if not isinstance(self.issuer, str) or self.issuer == "":
             raise DirectiveError("issuer must be a non-empty string")
         if not isinstance(self.trust, TrustLevel):
@@ -202,11 +201,6 @@ def make_directive(
     )
 
 
-def canonical_bytes(directive: Directive) -> bytes:
-    """Canonical encoding of a directive (computed at construction)."""
-    return directive.canonical
-
-
 _DIRECTIVE_KEYS = frozenset(
     {"id", "issuer", "kind", "params", "phase", "required_capability", "trust"}
 )
@@ -241,7 +235,7 @@ def directive_from_obj(obj) -> Directive:
 
 
 def parse_directive(data: bytes | str) -> Directive:
-    """Inverse of canonical_bytes: parse_directive(canonical_bytes(d)) == d."""
+    """Inverse of the canonical encoding: parse_directive(d.canonical) == d."""
     try:
         obj = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -37,7 +37,7 @@ from .directives import (
     make_directive,
     validate_kind,
 )
-from .policy import Policy, lookup
+from .policy import Policy
 from .provenance import Chain, ExecStatus, ProvenanceRecord, ZERO_DIGEST
 
 
@@ -78,13 +78,9 @@ class HandlerRegistry:
         return frozenset(self._handlers)
 
 
-def handler_capabilities(registry: HandlerRegistry) -> frozenset[str]:
-    return registry.capabilities()
-
-
 def decide(policy: Policy, directive: Directive) -> Decision:
     """Pure, total decision: capability lookup, then trust, then phase."""
-    rule = lookup(policy, directive.required_capability)
+    rule = policy.rules.get(directive.required_capability)
     if rule is None:
         return DENY_NO_CAPABILITY
     if directive.trust < rule.min_trust:

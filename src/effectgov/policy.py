@@ -16,11 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .directives import Phase, TrustLevel, phase_from_wire, trust_from_wire, validate_kind
-
-CapabilitySet = frozenset[str]
 
 _PHASE_ORDER = (Phase.PLAN, Phase.EXECUTE, Phase.FINALIZE)
 
@@ -83,17 +81,12 @@ class Policy:
 EMPTY_POLICY = Policy.from_rules([])
 
 
-def lookup(policy: Policy, capability: str) -> Optional[PolicyRule]:
-    """Rule covering the capability, or None when the policy is silent."""
-    return policy.rules.get(capability)
-
-
-def policy_capabilities(policy: Policy) -> CapabilitySet:
+def policy_capabilities(policy: Policy) -> frozenset[str]:
     """The governance boundary: every capability the policy covers."""
     return frozenset(policy.rules)
 
 
-def narrow(outer: Iterable[str], inner: Iterable[str]) -> CapabilitySet:
+def narrow(outer: Iterable[str], inner: Iterable[str]) -> frozenset[str]:
     """Attenuate authority across a composition: set intersection.
 
     The result never widens either side: narrow(a, b) <= a and <= b.

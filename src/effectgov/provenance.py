@@ -101,16 +101,8 @@ def _record_body(
     ).encode("utf-8")
 
 
-def compute_record_hash(
-    seq: int,
-    directive: Directive,
-    decision: Decision,
-    exec_status: ExecStatus,
-    result_digest: bytes,
-    prev_hash: bytes,
-) -> bytes:
-    body = _record_body(seq, directive, decision, exec_status, result_digest, prev_hash)
-    return hashlib.sha256(prev_hash + body).digest()
+def _with_this_hash(body: bytes, this_hash: bytes) -> bytes:
+    return b'%s,"this_hash":"%s"}' % (body[:-1], this_hash.hex().encode("ascii"))
 
 
 def record_line(record: ProvenanceRecord) -> bytes:
@@ -123,40 +115,43 @@ def record_line(record: ProvenanceRecord) -> bytes:
         record.result_digest,
         record.prev_hash,
     )
-    return b'%s,"this_hash":"%s"}' % (body[:-1], record.this_hash.hex().encode("ascii"))
+    return _with_this_hash(body, record.this_hash)
 
 
-def verify_records(records) -> VerificationReport:
-    """Recompute every link and digest; report the lowest violating index."""
+# Width of the line's ',"this_hash":"<64 hex>"}' tail. Cutting it and
+# restoring the closing brace gives back the hashed body; that is only
+# sound once this_hash is known to be HASH_SIZE bytes.
+_TAIL_SIZE = len(b',"this_hash":""}') + 2 * HASH_SIZE
+
+
+def _link_hash(prev: bytes, line: bytes) -> bytes:
+    return hashlib.sha256(prev + line[:-_TAIL_SIZE] + b"}").digest()
+
+
+def _first_bad_index(records, lines) -> Optional[int]:
+    """Lowest index whose record breaks the chain, or None if all link."""
     prev = ZERO_DIGEST
-    for index, record in enumerate(records):
+    for index, (record, line) in enumerate(zip(records, lines)):
         if (
             record.seq != index
             or record.prev_hash != prev
             or len(record.result_digest) != HASH_SIZE
             or len(record.this_hash) != HASH_SIZE
-            or compute_record_hash(
-                record.seq,
-                record.directive,
-                record.decision,
-                record.exec_status,
-                record.result_digest,
-                record.prev_hash,
-            )
-            != record.this_hash
+            or _link_hash(prev, line) != record.this_hash
         ):
-            return VerificationReport(valid=False, first_bad_index=index)
+            return index
         prev = record.this_hash
-    return VerificationReport(valid=True)
+    return None
 
 
 class Chain:
     """Append-only sequence of provenance records.
 
-    Both construction paths establish validity (a new chain is empty;
-    from_records verifies) and records are immutable, so an invalid chain
-    is unreachable through this API and append stays O(1). There is
-    deliberately no operation that removes or reorders records.
+    Every construction path establishes validity (a new chain is empty;
+    from_records and import_chain verify) and records are immutable, so
+    an invalid chain is unreachable through this API and append stays
+    O(1). There is deliberately no operation that removes or reorders
+    records.
     """
 
     __slots__ = ("_records", "_lines")
@@ -169,12 +164,17 @@ class Chain:
     def from_records(cls, records: Iterable[ProvenanceRecord]) -> "Chain":
         """Adopt existing records, refusing any that fail verification."""
         records = list(records)
-        report = verify_records(records)
-        if not report.valid:
-            raise ChainIntegrityError(report.first_bad_index, "hash chain does not verify")
+        return cls._adopt(records, [record_line(record) for record in records])
+
+    @classmethod
+    def _adopt(cls, records: list, lines: list) -> "Chain":
+        """Chain of records and their canonical lines, if they verify."""
+        index = _first_bad_index(records, lines)
+        if index is not None:
+            raise ChainIntegrityError(index, "hash chain does not verify")
         chain = cls()
         chain._records = records
-        chain._lines = [record_line(record) for record in records]
+        chain._lines = lines
         return chain
 
     def __len__(self) -> int:
@@ -217,19 +217,17 @@ class Chain:
             this_hash=this,
         )
         self._records.append(record)
-        self._lines.append(b'%s,"this_hash":"%s"}' % (body[:-1], this.hex().encode("ascii")))
+        self._lines.append(_with_this_hash(body, this))
         return record
 
     def verify(self) -> VerificationReport:
-        return verify_records(self._records)
+        """Recheck every link over the stored lines; renders nothing."""
+        index = _first_bad_index(self._records, self._lines)
+        return VerificationReport(valid=index is None, first_bad_index=index)
 
     def export(self) -> bytes:
         """JSON Lines; the exact bytes that were hashed, one record per line."""
         return b"".join(line + b"\n" for line in self._lines)
-
-
-def export_chain(chain: Chain) -> bytes:
-    return chain.export()
 
 
 _RECORD_KEYS = frozenset(
@@ -298,8 +296,10 @@ def import_chain(data: bytes) -> Chain:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ChainFormatError(line_number, f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ChainFormatError(line_number, "JSON nested too deeply") from None
         record = _record_from_obj(obj, position)
         if record_line(record) != raw:
             raise ChainIntegrityError(position, "record bytes are not in canonical form")
         records.append(record)
-    return Chain.from_records(records)
+    return Chain._adopt(records, lines)

@@ -19,7 +19,6 @@ from effectgov import (
     decide,
     enumerate_directive_space,
     gap_probability,
-    handler_capabilities,
     layered_cost,
     policy_capabilities,
     regions,
@@ -97,14 +96,14 @@ def test_enumerate_directive_space_is_exhaustive_and_well_formed():
 
 def test_coterminous_iff_registry_matches_policy():
     registry = standard_registry()
-    matched = policy_for(*handler_capabilities(registry))
-    assert regions(handler_capabilities(registry), matched).coterminous
-    assert policy_capabilities(matched) == handler_capabilities(registry)
+    matched = policy_for(*registry.capabilities())
+    assert regions(registry.capabilities(), matched).coterminous
+    assert policy_capabilities(matched) == registry.capabilities()
     for unmatched in (
         policy_for("email.send"),
-        policy_for(*handler_capabilities(registry), "ghost.cap"),
+        policy_for(*registry.capabilities(), "ghost.cap"),
     ):
-        assert not regions(handler_capabilities(registry), unmatched).coterminous
+        assert not regions(registry.capabilities(), unmatched).coterminous
 
 
 def test_gap_probability_against_exact_rational():

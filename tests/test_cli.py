@@ -110,6 +110,15 @@ def test_verify_garbage_is_usage_error(tmp_path, capsys):
     assert "line 1" in stderr
 
 
+def test_verify_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "chain.jsonl"
+    run_cli(capsys, "run", "--scenario", SCENARIO, "--policy", POLICY_EMAIL_DB, "--out", str(out))
+    out.write_bytes(out.read_bytes() + b"[" * 100_000 + b"\n")
+    code, _, stderr = run_cli(capsys, "verify", str(out))
+    assert code == 2
+    assert "line 3" in stderr
+
+
 def test_regions_flagship_configuration(capsys):
     code, stdout, _ = run_cli(
         capsys, "regions", "--capabilities", MANIFEST, "--policy", POLICY_FILTER

@@ -12,7 +12,6 @@ from effectgov import (
     DirectiveError,
     Phase,
     TrustLevel,
-    canonical_bytes,
     canonical_value_bytes,
     make_directive,
     parse_directive,
@@ -96,17 +95,17 @@ def test_canonical_bytes_deterministic():
     a = d(params={"to": "a@b.c", "body": "hi"})
     b = d(params={"body": "hi", "to": "a@b.c"})  # same content, other insertion order
     assert a == b
-    assert canonical_bytes(a) == canonical_bytes(b)
+    assert a.canonical == b.canonical
 
 
 def test_canonical_bytes_differ_on_one_param():
     a = d(params={"to": "a@b.c", "body": "hi"})
     b = d(params={"to": "a@b.c", "body": "hi!"})
-    assert canonical_bytes(a) != canonical_bytes(b)
+    assert a.canonical != b.canonical
 
 
 def test_canonical_form_is_sorted_compact_json():
-    blob = canonical_bytes(d(params={"zz": 1, "aa": True, "mm": "x"}))
+    blob = d(params={"zz": 1, "aa": True, "mm": "x"}).canonical
     obj = json.loads(blob)
     assert blob == json.dumps(obj, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=False).encode()
@@ -133,7 +132,7 @@ directive_strategy = st.builds(
 @given(directive_strategy)
 @settings(max_examples=300)
 def test_roundtrip_parse_of_canonical_bytes(directive):
-    assert parse_directive(canonical_bytes(directive)) == directive
+    assert parse_directive(directive.canonical) == directive
 
 
 def test_injectivity_over_generated_corpus():
@@ -154,7 +153,7 @@ def test_injectivity_over_generated_corpus():
         key = (directive.id, directive.kind, tuple(directive.params.items()),
                directive.issuer, directive.trust, directive.phase)
         seen_fields.add(key)
-        seen_bytes.add(canonical_bytes(directive))
+        seen_bytes.add(directive.canonical)
     assert len(seen_bytes) == len(seen_fields)
 
 
@@ -184,7 +183,7 @@ def test_required_capability_must_match_kind():
 
 
 def test_parse_rejects_extra_and_missing_fields():
-    blob = canonical_bytes(d())
+    blob = d().canonical
     obj = json.loads(blob)
     obj["extra"] = 1
     with pytest.raises(DirectiveError, match="unexpected"):

@@ -21,7 +21,6 @@ from effectgov import (
     Verdict,
     decide,
     enumerate_directive_space,
-    handler_capabilities,
     make_directive,
     seeded_world,
     standard_registry,
@@ -203,7 +202,7 @@ def test_non_scalar_handler_result_is_a_failure():
 
 def test_registry_rejects_duplicates_and_reports_capabilities():
     registry = standard_registry()
-    assert handler_capabilities(registry) == {"email.send", "db.query", "web.browse"}
+    assert registry.capabilities() == {"email.send", "db.query", "web.browse"}
     with pytest.raises(ValueError, match="already"):
         registry.register("email.send", lambda world, directive: "x")
 

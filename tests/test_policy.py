@@ -13,7 +13,6 @@ from effectgov import (
     PolicyRule,
     TrustLevel,
     load_policy,
-    lookup,
     narrow,
     policy_capabilities,
     serialize_policy,
@@ -38,16 +37,16 @@ TWO_RULE_DOCUMENT = json.dumps(
 
 def test_lookup_hit():
     policy = Policy.from_rules([rule()])
-    assert lookup(policy, "email.send") == rule()
+    assert policy.rules.get("email.send") == rule()
 
 
 def test_lookup_miss_is_none():
     policy = Policy.from_rules([rule()])
-    assert lookup(policy, "web.browse") is None
+    assert policy.rules.get("web.browse") is None
 
 
 def test_lookup_on_empty_policy():
-    assert lookup(EMPTY_POLICY, "anything.at_all") is None
+    assert EMPTY_POLICY.rules.get("anything.at_all") is None
 
 
 def test_narrow_intersection():
@@ -76,7 +75,7 @@ def test_load_policy_two_rules():
     policy = load_policy(TWO_RULE_DOCUMENT)
     assert len(policy.rules) == 2
     assert policy_capabilities(policy) == {"email.send", "db.query"}
-    assert lookup(policy, "db.query").min_trust is TrustLevel.OPERATOR
+    assert policy.rules.get("db.query").min_trust is TrustLevel.OPERATOR
 
 
 def test_load_policy_duplicate_capability():

@@ -1,5 +1,6 @@
 """Chain linking, verification, tamper evidence and the JSONL format."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -21,6 +22,7 @@ from effectgov import (
     import_chain,
     make_directive,
 )
+from effectgov import provenance as provenance_module
 
 from support import fresh_kernel, random_policy, valid_params_for
 
@@ -117,6 +119,34 @@ def test_from_records_refuses_tampered_records():
     with pytest.raises(ChainIntegrityError) as excinfo:
         Chain.from_records(records)
     assert excinfo.value.index == 5
+
+
+@pytest.mark.parametrize("field", ["this_hash", "result_digest"])
+def test_from_records_refuses_short_digests(field):
+    records = list(build_chain(6, seed=2).records)
+    records[4] = dataclasses.replace(records[4], **{field: getattr(records[4], field)[:31]})
+    with pytest.raises(ChainIntegrityError) as excinfo:
+        Chain.from_records(records)
+    assert excinfo.value.index == 4
+
+
+def test_import_renders_each_record_once_and_verify_renders_none(monkeypatch):
+    chain = build_chain(12, seed=6)
+    blob = chain.export()
+    rendered = []
+    render = provenance_module._record_body
+
+    def counting_render(*args):
+        rendered.append(args[0])
+        return render(*args)
+
+    monkeypatch.setattr(provenance_module, "_record_body", counting_render)
+    imported = import_chain(blob)
+    assert rendered == list(range(12))
+    rendered.clear()
+    assert imported.verify().valid
+    assert chain.verify().valid
+    assert rendered == []
 
 
 def flip_bit(data: bytearray, bit_index: int) -> None:
