@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .directives import Directive, Phase, Scalar, TrustLevel, make_directive
+from .directives import Directive, Phase, Scalar, TrustLevel, check_count, make_directive
 from .policy import Policy, policy_capabilities
 
 # Cap on geometric draws (one per trial) held at once; at 8 bytes each a
@@ -87,12 +87,6 @@ def _validate_coverage(coverage: float) -> float:
     return coverage
 
 
-def _validate_count(value: int, name: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def gap_probability(coverage: float, actions: int) -> float:
     """Probability that at least one of n independent actions is unmonitored.
 
@@ -101,7 +95,7 @@ def gap_probability(coverage: float, actions: int) -> float:
     close to 1 and n is large.
     """
     coverage = _validate_coverage(coverage)
-    actions = _validate_count(actions, "actions", 0)
+    actions = check_count(actions, "actions", 0)
     if actions == 0:
         return 0.0
     if coverage == 0.0:
@@ -123,8 +117,8 @@ def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> f
     (PCG64, one geometric draw per trial in trial order).
     """
     coverage = _validate_coverage(coverage)
-    actions = _validate_count(actions, "actions", 0)
-    trials = _validate_count(trials, "trials", 1)
+    actions = check_count(actions, "actions", 0)
+    trials = check_count(trials, "trials", 1)
     if actions == 0 or coverage == 1.0:
         return 0.0
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -155,5 +149,5 @@ def layered_cost(
     layers = [float(latency) for latency in layer_latencies_ms]
     if any(latency < 0.0 for latency in layers):
         raise ValueError("layer latencies must be non-negative")
-    actions = _validate_count(actions, "actions", 0)
+    actions = check_count(actions, "actions", 0)
     return actions * math.fsum(layers)

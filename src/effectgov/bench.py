@@ -27,6 +27,7 @@ from .directives import (
     Phase,
     TrustLevel,
     canonical_value_bytes,
+    check_count,
     make_directive,
     parse_directive,
 )
@@ -77,10 +78,8 @@ def _nearest_rank(sorted_ns: list[int], percentile: float) -> int:
 
 
 def _time_loop(fn, iterations: int, warmup: int) -> list[int]:
-    if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 1:
-        raise ValueError(f"iterations must be a positive integer, got {iterations!r}")
-    if not isinstance(warmup, int) or isinstance(warmup, bool) or warmup < 0:
-        raise ValueError(f"warmup must be a non-negative integer, got {warmup!r}")
+    check_count(iterations, "iterations", 1)
+    check_count(warmup, "warmup", 0)
     for _ in range(warmup):
         fn()
     samples = []
@@ -190,8 +189,7 @@ def bench_context_message(
     context_size: int = 4096, iters: int = 50, warmup: int = 5
 ) -> BenchReport:
     """Round trip between two execution contexts with a serialized handoff."""
-    if not isinstance(context_size, int) or isinstance(context_size, bool) or context_size < 0:
-        raise ValueError(f"context_size must be a non-negative integer, got {context_size!r}")
+    check_count(context_size, "context_size", 0)
     endpoint = _ContextEndpoint()
     context = b"x" * context_size
     counter = iter(range(1, iters + warmup + 1))

@@ -1,7 +1,8 @@
 """Command-line surface: run scenarios, verify chains, analyze boundaries.
 
 Exit codes are uniform across subcommands: 0 success, 1 a governance
-finding (non-coterminous regions, invalid chain), 2 usage or parse error.
+finding (non-coterminous regions, invalid chain), 2 usage or parse error,
+including any input file that cannot be read as the expected document.
 Output is machine-readable JSON unless --human is given.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 from .analysis import gap_probability, regions, simulate_monitor
 from .bench import REFERENCE_MEDIANS_MS, bench_context_message, bench_governed_vs_direct
 from .decisions import Verdict
-from .directives import DirectiveError
+from .directives import JSON_ERRORS, DirectiveError, check_fields
 from .kernel import GovernanceKernel
 from .policy import PolicyError, load_policy
 from .provenance import ChainFormatError, ChainIntegrityError, ExecStatus, import_chain
@@ -64,7 +65,7 @@ def _cmd_run(args) -> int:
     kernel = GovernanceKernel(policy, standard_registry(), world)
     try:
         result = run_workflow(scenario.workflow, scenario.input, kernel, trust=scenario.trust)
-    except (WorkflowError, DirectiveError) as exc:
+    except (WorkflowError, DirectiveError, RecursionError) as exc:
         return _fail(f"workflow: {exc}")
 
     try:
@@ -128,24 +129,20 @@ def _cmd_verify(args) -> int:
 def _cmd_regions(args) -> int:
     try:
         manifest = json.loads(_read_file(args.capabilities))
-    except (OSError, json.JSONDecodeError) as exc:
+        check_fields(manifest, {"capabilities"}, set(), "manifest", ValueError)
+        capabilities = manifest["capabilities"]
+        if not isinstance(capabilities, list) or not all(
+            isinstance(item, str) for item in capabilities
+        ):
+            raise ValueError("'capabilities' must be a list of strings")
+    except (OSError, *JSON_ERRORS) as exc:
         return _fail(f"capability manifest {args.capabilities}: {exc}")
-    if (
-        not isinstance(manifest, dict)
-        or set(manifest) != {"capabilities"}
-        or not isinstance(manifest["capabilities"], list)
-        or not all(isinstance(item, str) for item in manifest["capabilities"])
-    ):
-        return _fail(
-            f"capability manifest {args.capabilities}: expected "
-            '{"capabilities": ["kind", ...]}'
-        )
     try:
         policy = load_policy(_read_file(args.policy))
     except (OSError, PolicyError) as exc:
         return _fail(f"policy {args.policy}: {exc}")
 
-    report = regions(frozenset(manifest["capabilities"]), policy)
+    report = regions(frozenset(capabilities), policy)
     obj = report.to_json_obj()
 
     def lines(s):

@@ -100,6 +100,35 @@ def validate_kind(kind: str) -> str:
     return kind
 
 
+# Everything json.loads raises on hostile input: bad UTF-8, bad JSON and an
+# integer past the int-string limit are ValueErrors; nesting deeper than
+# the interpreter's recursion limit is a RecursionError.
+JSON_ERRORS = (ValueError, RecursionError)
+
+
+def check_fields(obj, required, optional, where: str, error: type[Exception]) -> None:
+    """Check that a parsed JSON value is an object with exactly the given fields.
+
+    Every field in ``required`` must be present and no field outside
+    ``required`` and ``optional`` may be. Raises ``error`` naming the first
+    unknown field, else the first missing one, in sorted order.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{where}: must be a JSON object, got {type(obj).__name__}")
+    keys = obj.keys()
+    if not keys <= required | optional:
+        raise error(f"{where}: unknown field {min(keys - required - optional)!r}")
+    if not keys >= required:
+        raise error(f"{where}: missing field {min(required - keys)!r}")
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """Check that value is an integer (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _encode_canonical(obj) -> bytes:
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
@@ -112,8 +141,8 @@ def canonical_value_bytes(value: Scalar) -> bytes:
         raise DirectiveError(f"not a scalar: {type(value).__name__}")
     try:
         return _encode_canonical(value)
-    except UnicodeEncodeError as exc:
-        raise DirectiveError(f"value is not UTF-8 encodable: {exc}") from None
+    except ValueError as exc:
+        raise DirectiveError(f"value has no canonical encoding: {exc}") from None
 
 
 def _normalized_params(params) -> Mapping[str, Scalar]:
@@ -176,8 +205,8 @@ class Directive:
                     "trust": self.trust.wire_name,
                 }
             )
-        except UnicodeEncodeError as exc:
-            raise DirectiveError(f"directive is not UTF-8 encodable: {exc}") from None
+        except ValueError as exc:
+            raise DirectiveError(f"directive has no canonical encoding: {exc}") from None
         object.__setattr__(self, "canonical", encoded)
 
 
@@ -208,18 +237,7 @@ _DIRECTIVE_KEYS = frozenset(
 
 def directive_from_obj(obj) -> Directive:
     """Rebuild a directive from a parsed JSON object; strict about shape."""
-    if not isinstance(obj, dict):
-        raise DirectiveError(f"directive must be a JSON object, got {type(obj).__name__}")
-    keys = set(obj)
-    if keys != _DIRECTIVE_KEYS:
-        missing = sorted(_DIRECTIVE_KEYS - keys)
-        unexpected = sorted(keys - _DIRECTIVE_KEYS)
-        parts = []
-        if missing:
-            parts.append(f"missing fields {missing}")
-        if unexpected:
-            parts.append(f"unexpected fields {unexpected}")
-        raise DirectiveError("directive object: " + ", ".join(parts))
+    check_fields(obj, _DIRECTIVE_KEYS, set(), "directive", DirectiveError)
     params = obj["params"]
     if not isinstance(params, dict):
         raise DirectiveError("directive params must be a JSON object")
@@ -238,6 +256,6 @@ def parse_directive(data: bytes | str) -> Directive:
     """Inverse of the canonical encoding: parse_directive(d.canonical) == d."""
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except JSON_ERRORS as exc:
         raise DirectiveError(f"not valid JSON: {exc}") from None
     return directive_from_obj(obj)

@@ -205,9 +205,11 @@ class GovernanceKernel:
                         raise HandlerError(
                             f"handler returned non-scalar {type(result).__name__}"
                         )
+                    digest = hashlib.sha256(canonical_value_bytes(result)).digest()
                 except Exception as exc:
-                    # Any handler fault still gets its one record: the world
-                    # may already have changed.
+                    # Any handler fault, or a result with no canonical
+                    # encoding, still gets its one record: the world may
+                    # already have changed.
                     status = ExecStatus.FAILED
                     result = None
                     if isinstance(exc, HandlerError):
@@ -216,7 +218,6 @@ class GovernanceKernel:
                         error = f"{type(exc).__name__}: {exc}"
                 else:
                     status = ExecStatus.EXECUTED
-                    digest = hashlib.sha256(canonical_value_bytes(result)).digest()
         else:
             status = ExecStatus.SKIPPED
         record = self._chain.append(directive, decision, status, digest)

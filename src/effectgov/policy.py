@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .directives import Phase, TrustLevel, phase_from_wire, trust_from_wire, validate_kind
+from .directives import (
+    JSON_ERRORS,
+    Phase,
+    TrustLevel,
+    check_fields,
+    phase_from_wire,
+    trust_from_wire,
+    validate_kind,
+)
 
 _PHASE_ORDER = (Phase.PLAN, Phase.EXECUTE, Phase.FINALIZE)
 
@@ -101,15 +109,9 @@ def load_policy(document: bytes | str) -> Policy:
     """Parse and validate a policy document; errors carry rule positions."""
     try:
         obj = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except JSON_ERRORS as exc:
         raise PolicyError(f"policy document is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise PolicyError("policy document must be a JSON object")
-    unexpected = sorted(set(obj) - {"rules"})
-    if unexpected:
-        raise PolicyError(f"unknown policy field {unexpected[0]!r}")
-    if "rules" not in obj:
-        raise PolicyError("policy document is missing 'rules'")
+    check_fields(obj, {"rules"}, set(), "policy", PolicyError)
     entries = obj["rules"]
     if not isinstance(entries, list):
         raise PolicyError("'rules' must be a list")
@@ -117,45 +119,24 @@ def load_policy(document: bytes | str) -> Policy:
     rules: dict[str, PolicyRule] = {}
     for index, entry in enumerate(entries):
         where = f"rules[{index}]"
-        if not isinstance(entry, dict):
-            raise PolicyError(f"{where}: rule must be a JSON object")
-        unexpected = sorted(set(entry) - _RULE_FIELDS)
-        if unexpected:
-            raise PolicyError(f"{where}: unknown field {unexpected[0]!r}")
-        missing = sorted(_RULE_FIELDS - set(entry))
-        if missing:
-            raise PolicyError(f"{where}: missing field {missing[0]!r}")
-
-        capability = entry["capability"]
-        try:
-            validate_kind(capability)
-        except ValueError as exc:
-            raise PolicyError(f"{where}: {exc}") from None
-        if capability in rules:
-            raise PolicyError(f"{where}: duplicate capability {capability!r}")
-
-        try:
-            min_trust = trust_from_wire(entry["min_trust"])
-        except ValueError:
-            raise PolicyError(
-                f"{where}: unknown trust level {entry['min_trust']!r}"
-            ) from None
-
+        check_fields(entry, _RULE_FIELDS, set(), where, PolicyError)
         names = entry["allowed_phases"]
         if not isinstance(names, list) or not names:
             raise PolicyError(f"{where}: allowed_phases must be a non-empty list")
-        phases = []
-        for name in names:
-            try:
-                phases.append(phase_from_wire(name))
-            except ValueError:
-                raise PolicyError(f"{where}: unknown phase {name!r}") from None
-        if len(set(phases)) != len(phases):
+        try:
+            phases = [phase_from_wire(name) for name in names]
+            rule = PolicyRule(
+                capability=entry["capability"],
+                min_trust=trust_from_wire(entry["min_trust"]),
+                allowed_phases=phases,
+            )
+        except ValueError as exc:
+            raise PolicyError(f"{where}: {exc}") from None
+        if len(rule.allowed_phases) != len(phases):
             raise PolicyError(f"{where}: repeated phase in allowed_phases")
-
-        rules[capability] = PolicyRule(
-            capability=capability, min_trust=min_trust, allowed_phases=frozenset(phases)
-        )
+        if rule.capability in rules:
+            raise PolicyError(f"{where}: duplicate capability {rule.capability!r}")
+        rules[rule.capability] = rule
     return Policy(rules=rules)
 
 

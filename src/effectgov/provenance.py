@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .decisions import Decision, decision_from_obj, decision_wire_json
-from .directives import Directive, directive_from_obj
+from .directives import JSON_ERRORS, Directive, directive_from_obj
 
 HASH_SIZE = 32
 ZERO_DIGEST = b"\x00" * HASH_SIZE
@@ -287,17 +287,10 @@ def import_chain(data: bytes) -> Chain:
     if lines and lines[-1] == b"":
         lines.pop()
     for position, raw in enumerate(lines):
-        line_number = position + 1
         try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ChainFormatError(line_number, f"not UTF-8: {exc}") from None
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChainFormatError(line_number, f"not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ChainFormatError(line_number, "JSON nested too deeply") from None
+            obj = json.loads(raw.decode("utf-8"))
+        except JSON_ERRORS as exc:
+            raise ChainFormatError(position + 1, f"not valid JSON: {exc}") from None
         record = _record_from_obj(obj, position)
         if record_line(record) != raw:
             raise ChainIntegrityError(position, "record bytes are not in canonical form")

@@ -18,7 +18,7 @@ Nodes (single-key objects)::
     {"step":    {"name": "...", "fn": <valuefn>}}
     {"emit":    {"name": "...", "kind": "email.send", "phase": "execute",
                  "params": {"to": <valuefn>, ...}}}
-    {"seq":     [<node>, ...]}
+    {"seq":     [<node>, ...]}      non-empty; one Seq node over all parts
     {"branch":  {"when": <valuefn>, "then": <node>, "else": <node>}}
     {"iterate": {"over": <valuefn>, "body": <node>}}
 
@@ -40,15 +40,23 @@ from dataclasses import dataclass
 from typing import Any, Callable
 from urllib.parse import quote
 
-from .directives import Phase, TrustLevel, phase_from_wire, trust_from_wire, validate_kind
+from .directives import (
+    JSON_ERRORS,
+    Phase,
+    TrustLevel,
+    check_fields,
+    phase_from_wire,
+    trust_from_wire,
+    validate_kind,
+)
 from .workflow import (
     Branch,
     Emit,
     Iterate,
     PureStep,
-    Seq,
     Workflow,
     WorkflowError,
+    seq,
 )
 
 Value = Any
@@ -77,16 +85,6 @@ def _as_text(value) -> str:
     raise WorkflowError(f"cannot render {type(value).__name__} as text")
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    keys = set(obj)
-    unexpected = sorted(keys - required - optional)
-    if unexpected:
-        raise ScenarioError(f"{where}: unknown field {unexpected[0]!r}")
-    missing = sorted(required - keys)
-    if missing:
-        raise ScenarioError(f"{where}: missing field {missing[0]!r}")
-
-
 def _require_str(obj: dict, field: str, where: str) -> str:
     value = obj.get(field)
     if not isinstance(value, str):
@@ -100,16 +98,16 @@ def _compile_valuefn(form, where: str) -> ValueFn:
     op = form["op"]
 
     if op == "const":
-        _require_keys(form, {"op", "value"}, set(), where)
+        check_fields(form, {"op", "value"}, set(), where, ScenarioError)
         constant = form["value"]
         return lambda value: constant
 
     if op == "input":
-        _require_keys(form, {"op"}, set(), where)
+        check_fields(form, {"op"}, set(), where, ScenarioError)
         return lambda value: value
 
     if op == "select-field":
-        _require_keys(form, {"op", "field"}, set(), where)
+        check_fields(form, {"op", "field"}, set(), where, ScenarioError)
         field = _require_str(form, "field", where)
 
         def select(value):
@@ -120,13 +118,13 @@ def _compile_valuefn(form, where: str) -> ValueFn:
         return select
 
     if op == "encode-url":
-        _require_keys(form, {"op", "base", "param"}, set(), where)
+        check_fields(form, {"op", "base", "param"}, set(), where, ScenarioError)
         base = _require_str(form, "base", where)
         param = _require_str(form, "param", where)
         return lambda value: f"{base}?{param}={quote(_as_text(value), safe='')}"
 
     if op == "concat":
-        _require_keys(form, {"op", "parts"}, set(), where)
+        check_fields(form, {"op", "parts"}, set(), where, ScenarioError)
         parts = form["parts"]
         if not isinstance(parts, list):
             raise ScenarioError(f"{where}: 'parts' must be a list")
@@ -137,7 +135,7 @@ def _compile_valuefn(form, where: str) -> ValueFn:
         return lambda value: "".join(_as_text(fn(value)) for fn in fns)
 
     if op == "eq":
-        _require_keys(form, {"op", "left", "right"}, set(), where)
+        check_fields(form, {"op", "left", "right"}, set(), where, ScenarioError)
         left = _compile_valuefn(form["left"], f"{where}.left")
         right = _compile_valuefn(form["right"], f"{where}.right")
         return lambda value: left(value) == right(value)
@@ -151,32 +149,19 @@ def _compile_node(node, where: str) -> Workflow:
     node_type, body = next(iter(node.items()))
 
     if node_type == "step":
-        if not isinstance(body, dict):
-            raise ScenarioError(f"{where}.step: must be an object")
-        _require_keys(body, {"name", "fn"}, set(), f"{where}.step")
+        check_fields(body, {"name", "fn"}, set(), f"{where}.step", ScenarioError)
         name = _require_str(body, "name", f"{where}.step")
         fn = _compile_valuefn(body["fn"], f"{where}.step.fn")
         return PureStep(name=name, fn=fn)
 
     if node_type == "emit":
-        if not isinstance(body, dict):
-            raise ScenarioError(f"{where}.emit: must be an object")
-        _require_keys(body, {"name", "kind", "params"}, {"phase"}, f"{where}.emit")
+        check_fields(body, {"name", "kind", "params"}, {"phase"}, f"{where}.emit", ScenarioError)
         name = _require_str(body, "name", f"{where}.emit")
-        kind = _require_str(body, "kind", f"{where}.emit")
         try:
-            validate_kind(kind)
+            kind = validate_kind(body["kind"])
+            phase = phase_from_wire(body.get("phase", Phase.EXECUTE.value))
         except ValueError as exc:
             raise ScenarioError(f"{where}.emit: {exc}") from None
-        if "phase" in body:
-            try:
-                phase = phase_from_wire(body["phase"])
-            except ValueError:
-                raise ScenarioError(
-                    f"{where}.emit: unknown phase {body['phase']!r}"
-                ) from None
-        else:
-            phase = Phase.EXECUTE
         params_form = body["params"]
         if not isinstance(params_form, dict):
             raise ScenarioError(f"{where}.emit: 'params' must be an object")
@@ -193,15 +178,12 @@ def _compile_node(node, where: str) -> Workflow:
     if node_type == "seq":
         if not isinstance(body, list) or not body:
             raise ScenarioError(f"{where}.seq: must be a non-empty list")
-        composed = _compile_node(body[0], f"{where}.seq[0]")
-        for index, part in enumerate(body[1:], start=1):
-            composed = Seq(left=composed, right=_compile_node(part, f"{where}.seq[{index}]"))
-        return composed
+        return seq(
+            *[_compile_node(part, f"{where}.seq[{index}]") for index, part in enumerate(body)]
+        )
 
     if node_type == "branch":
-        if not isinstance(body, dict):
-            raise ScenarioError(f"{where}.branch: must be an object")
-        _require_keys(body, {"when", "then", "else"}, set(), f"{where}.branch")
+        check_fields(body, {"when", "then", "else"}, set(), f"{where}.branch", ScenarioError)
         predicate = _compile_valuefn(body["when"], f"{where}.branch.when")
         return Branch(
             predicate=predicate,
@@ -210,9 +192,7 @@ def _compile_node(node, where: str) -> Workflow:
         )
 
     if node_type == "iterate":
-        if not isinstance(body, dict):
-            raise ScenarioError(f"{where}.iterate: must be an object")
-        _require_keys(body, {"over", "body"}, set(), f"{where}.iterate")
+        check_fields(body, {"over", "body"}, set(), f"{where}.iterate", ScenarioError)
         items_fn = _compile_valuefn(body["over"], f"{where}.iterate.over")
         return Iterate(
             body=_compile_node(body["body"], f"{where}.iterate.body"), items_fn=items_fn
@@ -224,20 +204,18 @@ def _compile_node(node, where: str) -> Workflow:
 def load_scenario(document: bytes | str) -> Scenario:
     try:
         obj = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except JSON_ERRORS as exc:
         raise ScenarioError(f"scenario document is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _require_keys(obj, {"input", "workflow"}, {"trust", "policy"}, "scenario")
-    if "trust" in obj:
-        try:
-            trust = trust_from_wire(obj["trust"])
-        except ValueError:
-            raise ScenarioError(f"scenario: unknown trust level {obj['trust']!r}") from None
-    else:
-        trust = TrustLevel.AGENT
+    check_fields(obj, {"input", "workflow"}, {"trust", "policy"}, "scenario", ScenarioError)
+    try:
+        trust = trust_from_wire(obj.get("trust", TrustLevel.AGENT.wire_name))
+    except ValueError as exc:
+        raise ScenarioError(f"scenario: {exc}") from None
     policy_ref = obj.get("policy")
     if policy_ref is not None and not isinstance(policy_ref, str):
         raise ScenarioError("scenario: 'policy' must be a string path")
-    workflow = _compile_node(obj["workflow"], "workflow")
+    try:
+        workflow = _compile_node(obj["workflow"], "workflow")
+    except RecursionError:
+        raise ScenarioError("workflow: nested too deeply") from None
     return Scenario(workflow=workflow, input=obj["input"], trust=trust, policy_ref=policy_ref)

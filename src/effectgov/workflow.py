@@ -13,7 +13,7 @@ Node semantics:
 * Emit(name, kind, phase, params_fn): issues one directive with
   parameters params_fn(value); output is the handler result when the
   directive executed, else None.
-* Seq(left, right): feeds left's output to right.
+* Seq(parts): feeds each part's output to the next part, in order.
 * Branch(predicate, then_arm, else_arm): predicate(value) picks the arm,
   which receives the unchanged value.
 * Iterate(body, items_fn): runs body once per item of items_fn(value),
@@ -64,8 +64,7 @@ class Emit(Workflow):
 
 @dataclass(frozen=True)
 class Seq(Workflow):
-    left: Workflow
-    right: Workflow
+    parts: tuple[Workflow, ...]
 
 
 @dataclass(frozen=True)
@@ -95,13 +94,10 @@ def emit(
 
 
 def seq(*parts: Workflow) -> Workflow:
-    """Left-folded sequence of one or more workflows."""
+    """Sequence of one or more workflows; a single part is returned as is."""
     if not parts:
         raise ValueError("seq needs at least one workflow")
-    composed = parts[0]
-    for part in parts[1:]:
-        composed = Seq(left=composed, right=part)
-    return composed
+    return parts[0] if len(parts) == 1 else Seq(parts)
 
 
 def branch(predicate, then_arm: Workflow, else_arm: Workflow) -> Branch:
@@ -140,8 +136,9 @@ def _eval(node: Workflow, value: Value, kernel, trust, check: bool) -> Value:
         outcome = kernel.issue(node.kind, params, node.name, trust, node.phase)
         return outcome.result
     if isinstance(node, Seq):
-        middle = _eval(node.left, value, kernel, trust, check)
-        return _eval(node.right, middle, kernel, trust, check)
+        for part in node.parts:
+            value = _eval(part, value, kernel, trust, check)
+        return value
     if isinstance(node, Branch):
         chosen = _call(node.predicate, value, check, "branch predicate")
         if not isinstance(chosen, bool):

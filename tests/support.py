@@ -87,10 +87,10 @@ def random_workflow(rng: random.Random, depth: int = 3, counter=None):
         return _random_leaf(rng, counter)
     shape = rng.random()
     if shape < 0.6:
-        return Seq(
-            left=random_workflow(rng, depth - 1, counter),
-            right=random_workflow(rng, depth - 1, counter),
-        )
+        return Seq((
+            random_workflow(rng, depth - 1, counter),
+            random_workflow(rng, depth - 1, counter),
+        ))
     if shape < 0.8:
         return Branch(
             predicate=lambda value: len(str(value)) % 2 == 0,

@@ -135,7 +135,7 @@ def test_criterion_5_compositionality():
             value = random_input(rng)
 
             whole = fresh_kernel(policy)
-            run(Seq(left=workflow_a, right=workflow_b), value, whole, trust=trust)
+            run(Seq((workflow_a, workflow_b)), value, whole, trust=trust)
 
             shared_world = seeded_world()
             first = fresh_kernel(policy, world=shared_world)

@@ -1,6 +1,12 @@
 """CLI subcommands and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, seed, settings, strategies as st
 
 from effectgov import bundled_path
 from effectgov.cli import main
@@ -228,3 +234,109 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["run", "--scenario", SCENARIO]) == 2
+
+
+def test_run_long_seq_scenario(tmp_path, capsys):
+    # A seq of 3,000 parts is one list node: neither compiling nor running
+    # it nests 3,000 deep.
+    query = {"emit": {"name": "q", "kind": "db.query", "params": {
+        "table": {"op": "const", "value": "users"},
+        "select": {"op": "const", "value": "email"},
+    }}}
+    identity = {"step": {"name": "s", "fn": {"op": "input"}}}
+    scenario = tmp_path / "long.json"
+    scenario.write_text(json.dumps({
+        "input": 1, "workflow": {"seq": [identity, query] * 1_500},
+    }))
+    out = tmp_path / "chain.jsonl"
+    code, stdout, _ = run_cli(
+        capsys, "run", "--scenario", str(scenario), "--policy", POLICY_ALL, "--out", str(out)
+    )
+    assert code == 0
+    assert json.loads(stdout)["records"] == 1_500
+    assert len(out.read_bytes().splitlines()) == 1_500
+
+
+def test_run_too_deep_to_read_or_evaluate_is_usage_error(tmp_path, capsys):
+    # 600 nested concats: whichever stack runs out first, the JSON decoder's
+    # (CPython 3.10-3.11) or the evaluator's (3.12+), it is a usage error.
+    fn = '{"op": "concat", "parts": [' * 600 + '{"op": "input"}' + "]}" * 600
+    scenario = tmp_path / "deep.json"
+    scenario.write_text(
+        '{"input": "x", "workflow": {"step": {"name": "s", "fn": ' + fn + "}}}"
+    )
+    code, _, stderr = run_cli(
+        capsys, "run", "--scenario", str(scenario), "--policy", POLICY_ALL,
+        "--out", str(tmp_path / "chain.jsonl"),
+    )
+    assert code == 2
+    assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
+
+
+# Documents no reader accepts: not UTF-8, not JSON, past the decoder's
+# nesting or int-string limits, or JSON of the wrong shape for every
+# document type (policy, scenario, capability manifest, chain record).
+HOSTILE_CORPUS = [
+    b"\xff\xfe{",
+    b'{"rules": "\xc3\x28"}',
+    b"[" * 100_000,
+    b'{"rules": ' * 100_000,
+    b"[" + b"1" * 5_000 + b"]",
+    b'{"input": ' + b"9" * 5_000 + b"}",
+    b"[]",
+    b'"text"',
+    b'{"unknown": 1}',
+    b"{}",
+    b'{"rules": [1]}',
+    b'{"capabilities": [1]}',
+    b'{"input": 1, "workflow": {"step": []}}',
+]
+
+# argv for every file-taking argument, given the file and an output path.
+FILE_ARGUMENTS = {
+    "run --scenario": lambda f, out: ["run", "--scenario", f, "--policy", POLICY_EMAIL_DB,
+                                      "--out", out],
+    "run --policy": lambda f, out: ["run", "--scenario", SCENARIO, "--policy", f,
+                                    "--out", out],
+    "verify": lambda f, out: ["verify", f],
+    "regions --capabilities": lambda f, out: ["regions", "--capabilities", f,
+                                              "--policy", POLICY_FILTER],
+    "regions --policy": lambda f, out: ["regions", "--capabilities", MANIFEST,
+                                        "--policy", f],
+}
+
+
+def _json_or_none(data: bytes):
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+
+
+@seed(20_261_018)
+@settings(max_examples=400, deadline=None)
+@given(
+    argument=st.sampled_from(sorted(FILE_ARGUMENTS)),
+    data=st.one_of(st.sampled_from(HOSTILE_CORPUS), st.binary(max_size=80)),
+)
+def test_exit_code_is_always_0_1_or_2(argument, data):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        argv = FILE_ARGUMENTS[argument](str(path), str(Path(tmp) / "chain.jsonl"))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if argument == "verify":
+        # Lines are read in order; a first line that is not JSON is a parse
+        # failure, one that is JSON but not a record is a finding.
+        lines = data.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()
+        if lines:
+            assert code == (2 if _json_or_none(lines[0]) is None else 1)
+    elif data in HOSTILE_CORPUS or not isinstance(_json_or_none(data), dict):
+        assert code == 2
+        assert stderr.getvalue().startswith("effectgov: ")

@@ -186,12 +186,22 @@ def test_parse_rejects_extra_and_missing_fields():
     blob = d().canonical
     obj = json.loads(blob)
     obj["extra"] = 1
-    with pytest.raises(DirectiveError, match="unexpected"):
+    with pytest.raises(DirectiveError, match="unknown field 'extra'"):
         parse_directive(json.dumps(obj))
     del obj["extra"]
     del obj["issuer"]
     with pytest.raises(DirectiveError, match="missing"):
         parse_directive(json.dumps(obj))
+
+
+def test_unencodable_values_raise_directive_error():
+    # An integer past the interpreter's int-string limit and a lone
+    # surrogate have no canonical encoding; both are DirectiveErrors.
+    for value in (10**5000, "\ud800"):
+        with pytest.raises(DirectiveError, match="no canonical encoding"):
+            d(params={"n": value})
+        with pytest.raises(DirectiveError, match="no canonical encoding"):
+            canonical_value_bytes(value)
 
 
 def test_canonical_value_bytes_distinguishes_scalar_types():

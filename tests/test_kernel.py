@@ -200,6 +200,32 @@ def test_non_scalar_handler_result_is_a_failure():
     assert "non-scalar" in outcome.error
 
 
+@pytest.mark.parametrize("result", [10**5000, "\ud800"], ids=["huge_int", "lone_surrogate"])
+def test_unencodable_handler_result_still_gets_its_record(result):
+    # The effect has already run when the result is digested, so a result
+    # with no canonical encoding is a failure with a record, not an escape.
+    effects = []
+
+    def handler(world, directive):
+        effects.append(directive.id)
+        return result
+
+    registry = HandlerRegistry({"odd.cap": handler})
+    policy = Policy.from_rules([
+        PolicyRule(capability="odd.cap", min_trust=TrustLevel.AGENT,
+                   allowed_phases=frozenset({Phase.EXECUTE})),
+    ])
+    kernel = GovernanceKernel(policy, registry, seeded_world())
+    outcome = kernel.issue("odd.cap", {}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert effects == [1]
+    assert outcome.exec_status is ExecStatus.FAILED
+    assert outcome.result is None
+    assert outcome.error.startswith("DirectiveError: value has no canonical encoding")
+    assert len(kernel.chain) == 1
+    assert kernel.chain.records[0].result_digest == bytes(32)
+    assert kernel.chain.verify().valid
+
+
 def test_registry_rejects_duplicates_and_reports_capabilities():
     registry = standard_registry()
     assert registry.capabilities() == {"email.send", "db.query", "web.browse"}

@@ -105,7 +105,7 @@ def test_load_policy_unknown_phase_has_position():
 
 
 def test_load_policy_rejects_unknown_fields():
-    with pytest.raises(PolicyError, match="unknown policy field"):
+    with pytest.raises(PolicyError, match="policy: unknown field 'default'"):
         load_policy(json.dumps({"rules": [], "default": "allow"}))
     with pytest.raises(PolicyError, match=r"rules\[0\]: unknown field"):
         load_policy(json.dumps({"rules": [
