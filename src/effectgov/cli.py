@@ -16,7 +16,7 @@ from pathlib import Path
 from .analysis import gap_probability, regions, simulate_monitor
 from .bench import REFERENCE_MEDIANS_MS, bench_context_message, bench_governed_vs_direct
 from .decisions import Verdict
-from .directives import JSON_ERRORS, DirectiveError, check_fields
+from .directives import JSON_ERRORS, DirectiveError, check_fields, load_json
 from .kernel import GovernanceKernel
 from .policy import PolicyError, load_policy
 from .provenance import ChainFormatError, ChainIntegrityError, ExecStatus, import_chain
@@ -128,7 +128,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_regions(args) -> int:
     try:
-        manifest = json.loads(_read_file(args.capabilities))
+        manifest = load_json(_read_file(args.capabilities))
         check_fields(manifest, {"capabilities"}, set(), "manifest", ValueError)
         capabilities = manifest["capabilities"]
         if not isinstance(capabilities, list) or not all(

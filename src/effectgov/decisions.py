@@ -56,15 +56,24 @@ def decision_wire_json(decision: Decision) -> str:
 
 _VERDICT_BY_WIRE = {verdict.value: verdict for verdict in Verdict}
 _REASON_BY_WIRE = {reason.value: reason for reason in DecisionReason}
+# The four consistent decisions by wire pair, so a parsed record shares them.
+_DECISION_BY_WIRE = {
+    (decision.verdict.value, decision.reason.value): decision for decision in _WIRE_JSON
+}
+_DECISION_KEYS = frozenset({"verdict", "reason"})
 
 
 def decision_from_obj(obj) -> Decision:
     """Rebuild a decision from a parsed JSON object; strict about shape."""
-    if not isinstance(obj, dict) or set(obj) != {"verdict", "reason"}:
+    if not isinstance(obj, dict) or obj.keys() != _DECISION_KEYS:
         raise ValueError(f"decision must be an object with verdict and reason, got {obj!r}")
+    try:
+        return _DECISION_BY_WIRE[obj["verdict"], obj["reason"]]
+    except (KeyError, TypeError):
+        pass
     try:
         verdict = _VERDICT_BY_WIRE[obj["verdict"]]
         reason = _REASON_BY_WIRE[obj["reason"]]
     except (KeyError, TypeError):
         raise ValueError(f"unknown verdict or reason in {obj!r}") from None
-    return Decision(verdict, reason)
+    return Decision(verdict, reason)  # an inconsistent pair: raises

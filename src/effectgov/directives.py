@@ -8,12 +8,16 @@ boundary.
 Canonical encoding, fixed here because provenance hashing and interchange
 both depend on it: UTF-8 JSON, object keys sorted lexicographically, no
 insignificant whitespace, integers base-10, booleans ``true``/``false``.
-Directives with equal fields always produce identical bytes.
+Directives with equal fields always produce identical bytes. These are the
+bytes ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+ensure_ascii=False)`` gives; they are built here by one scalar renderer,
+``_scalar_json``, and a fixed template for the directive's seven fields.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from types import MappingProxyType
@@ -25,9 +29,10 @@ MAX_DIRECTIVE_ID = 2**64 - 1
 
 _KIND_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
-# Reference grammar for effect kinds; validate_kind implements it with
-# per-character error reporting.
+# Grammar for effect kinds. validate_kind accepts with it and, on
+# rejection, names the offending character.
 EFFECT_KIND_GRAMMAR = r"[a-z0-9_]+(\.[a-z0-9_]+)*"
+_kind_fullmatch = re.compile(EFFECT_KIND_GRAMMAR).fullmatch
 
 
 class DirectiveError(ValueError):
@@ -83,6 +88,8 @@ def validate_kind(kind: str) -> str:
     """
     if not isinstance(kind, str):
         raise DirectiveError(f"effect kind must be a string, got {type(kind).__name__}")
+    if _kind_fullmatch(kind):
+        return kind
     if kind == "":
         raise DirectiveError("effect kind must not be empty")
     prev = "."
@@ -95,15 +102,25 @@ def validate_kind(kind: str) -> str:
                 f"effect kind {kind!r}: invalid character {char!r} at index {index}"
             )
         prev = char
-    if prev == ".":
-        raise DirectiveError(f"effect kind {kind!r}: misplaced '.' at index {len(kind) - 1}")
-    return kind
+    # The grammar rejected the kind, so only a trailing '.' is left.
+    raise DirectiveError(f"effect kind {kind!r}: misplaced '.' at index {len(kind) - 1}")
 
 
 # Everything json.loads raises on hostile input: bad UTF-8, bad JSON and an
 # integer past the int-string limit are ValueErrors; nesting deeper than
 # the interpreter's recursion limit is a RecursionError.
 JSON_ERRORS = (ValueError, RecursionError)
+
+
+def load_json(document: bytes | str):
+    """Parse one JSON document; bytes must be UTF-8, and a BOM is refused.
+
+    Raises one of ``JSON_ERRORS``. Bytes go to json.loads only as decoded
+    text, because on bytes it would also take UTF-16 and UTF-32.
+    """
+    if isinstance(document, (bytes, bytearray)):
+        document = document.decode("utf-8")
+    return json.loads(document)
 
 
 def check_fields(obj, required, optional, where: str, error: type[Exception]) -> None:
@@ -116,6 +133,8 @@ def check_fields(obj, required, optional, where: str, error: type[Exception]) ->
     if not isinstance(obj, dict):
         raise error(f"{where}: must be a JSON object, got {type(obj).__name__}")
     keys = obj.keys()
+    if keys == required:
+        return
     if not keys <= required | optional:
         raise error(f"{where}: unknown field {min(keys - required - optional)!r}")
     if not keys >= required:
@@ -129,33 +148,70 @@ def check_count(value, name: str, minimum: int) -> int:
     return value
 
 
-def _encode_canonical(obj) -> bytes:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    ).encode("utf-8")
+_encode_str = json.encoder.encode_basestring
+
+
+def _scalar_json(value) -> str | None:
+    """JSON text of a scalar, spelled as json.dumps spells it; None if not one.
+
+    Raises ValueError for an int past the interpreter's int-string limit.
+    The text may hold a lone surrogate; encoding it to UTF-8 then fails.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
 
 
 def canonical_value_bytes(value: Scalar) -> bytes:
     """Canonical encoding of a single scalar (handler results use this)."""
-    if not isinstance(value, (str, int, bool)):
-        raise DirectiveError(f"not a scalar: {type(value).__name__}")
     try:
-        return _encode_canonical(value)
+        text = _scalar_json(value)
+        if text is not None:
+            return text.encode("utf-8")
     except ValueError as exc:
         raise DirectiveError(f"value has no canonical encoding: {exc}") from None
+    raise DirectiveError(f"not a scalar: {type(value).__name__}")
 
 
-def _normalized_params(params) -> Mapping[str, Scalar]:
+def _render_params(params) -> tuple[Mapping[str, Scalar], str]:
+    """Check params and render them: a key-sorted read-only view and its JSON.
+
+    Raises ValueError (not a DirectiveError) for an int past the int-string
+    limit, which the caller reports as having no canonical encoding.
+    """
     if not isinstance(params, Mapping):
         raise DirectiveError(f"params must be a mapping, got {type(params).__name__}")
+    items = []
     for key, value in params.items():
         if not isinstance(key, str):
             raise DirectiveError(f"param key must be a string, got {key!r}")
-        if not isinstance(value, (str, int, bool)):
+        text = _scalar_json(value)
+        if text is None:
             raise DirectiveError(
                 f"param {key!r} must be a string, integer or boolean, got {type(value).__name__}"
             )
-    return MappingProxyType(dict(sorted(params.items())))
+        items.append((key, value, text))
+    items.sort()
+    ordered = {}
+    parts = []
+    for key, value, text in items:
+        ordered[key] = value
+        parts.append(_encode_str(key) + ":" + text)
+    return MappingProxyType(ordered), "{" + ",".join(parts) + "}"
+
+
+# The canonical form's key order; kind, phase and trust go in unescaped
+# because the kind grammar and the two enums admit no character JSON escapes.
+_CANONICAL_TEMPLATE = (
+    '{"id":%d,"issuer":%s,"kind":"%s","params":%s,"phase":"%s",'
+    '"required_capability":"%s","trust":"%s"}'
+)
 
 
 @dataclass(frozen=True)
@@ -181,32 +237,37 @@ class Directive:
             raise DirectiveError(f"directive id must be an integer, got {self.id!r}")
         if not 0 <= self.id <= MAX_DIRECTIVE_ID:
             raise DirectiveError(f"directive id {self.id} outside unsigned 64-bit range")
-        if self.required_capability != self.kind:
+        kind = self.kind
+        if self.required_capability != kind:
             raise DirectiveError(
-                f"required_capability {self.required_capability!r} must equal kind {self.kind!r}"
+                f"required_capability {self.required_capability!r} must equal kind {kind!r}"
             )
-        validate_kind(self.kind)
+        validate_kind(kind)
         if not isinstance(self.issuer, str) or self.issuer == "":
             raise DirectiveError("issuer must be a non-empty string")
         if not isinstance(self.trust, TrustLevel):
             raise DirectiveError(f"trust must be a TrustLevel, got {self.trust!r}")
         if not isinstance(self.phase, Phase):
             raise DirectiveError(f"phase must be a Phase, got {self.phase!r}")
-        object.__setattr__(self, "params", _normalized_params(self.params))
         try:
-            encoded = _encode_canonical(
-                {
-                    "id": self.id,
-                    "issuer": self.issuer,
-                    "kind": self.kind,
-                    "params": dict(self.params),
-                    "phase": self.phase.value,
-                    "required_capability": self.required_capability,
-                    "trust": self.trust.wire_name,
-                }
-            )
+            params, params_json = _render_params(self.params)
+            encoded = (
+                _CANONICAL_TEMPLATE
+                % (
+                    self.id,
+                    _encode_str(self.issuer),
+                    kind,
+                    params_json,
+                    self.phase.value,
+                    kind,
+                    self.trust.wire_name,
+                )
+            ).encode("utf-8")
+        except DirectiveError:
+            raise
         except ValueError as exc:
             raise DirectiveError(f"directive has no canonical encoding: {exc}") from None
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "canonical", encoded)
 
 
@@ -255,7 +316,7 @@ def directive_from_obj(obj) -> Directive:
 def parse_directive(data: bytes | str) -> Directive:
     """Inverse of the canonical encoding: parse_directive(d.canonical) == d."""
     try:
-        obj = json.loads(data)
+        obj = load_json(data)
     except JSON_ERRORS as exc:
         raise DirectiveError(f"not valid JSON: {exc}") from None
     return directive_from_obj(obj)

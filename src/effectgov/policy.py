@@ -23,6 +23,7 @@ from .directives import (
     Phase,
     TrustLevel,
     check_fields,
+    load_json,
     phase_from_wire,
     trust_from_wire,
     validate_kind,
@@ -108,7 +109,7 @@ _RULE_FIELDS = frozenset({"capability", "min_trust", "allowed_phases"})
 def load_policy(document: bytes | str) -> Policy:
     """Parse and validate a policy document; errors carry rule positions."""
     try:
-        obj = json.loads(document)
+        obj = load_json(document)
     except JSON_ERRORS as exc:
         raise PolicyError(f"policy document is not valid JSON: {exc}") from None
     check_fields(obj, {"rules"}, set(), "policy", PolicyError)

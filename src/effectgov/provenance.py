@@ -22,13 +22,12 @@ bit-exact reproducible from the record's fields alone.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from .decisions import Decision, decision_from_obj, decision_wire_json
-from .directives import JSON_ERRORS, Directive, directive_from_obj
+from .directives import JSON_ERRORS, Directive, directive_from_obj, load_json
 
 HASH_SIZE = 32
 ZERO_DIGEST = b"\x00" * HASH_SIZE
@@ -236,20 +235,23 @@ _RECORD_KEYS = frozenset(
 
 
 def _digest_from_hex(value, index: int, name: str) -> bytes:
+    try:
+        digest = bytes.fromhex(value)
+    except (TypeError, ValueError):
+        digest = None
+    if digest is not None and len(digest) == HASH_SIZE and digest.hex() == value:
+        return digest
     if (
         not isinstance(value, str)
         or len(value) != 2 * HASH_SIZE
         or value != value.lower()
     ):
         raise ChainIntegrityError(index, f"{name} is not 64 lowercase hex characters")
-    try:
-        return bytes.fromhex(value)
-    except ValueError:
-        raise ChainIntegrityError(index, f"{name} is not hex") from None
+    raise ChainIntegrityError(index, f"{name} is not hex")
 
 
 def _record_from_obj(obj, index: int) -> ProvenanceRecord:
-    if not isinstance(obj, dict) or set(obj) != _RECORD_KEYS:
+    if not isinstance(obj, dict) or obj.keys() != _RECORD_KEYS:
         raise ChainIntegrityError(index, "record does not have the fixed field set")
     seq = obj["seq"]
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
@@ -288,7 +290,7 @@ def import_chain(data: bytes) -> Chain:
         lines.pop()
     for position, raw in enumerate(lines):
         try:
-            obj = json.loads(raw.decode("utf-8"))
+            obj = load_json(raw)
         except JSON_ERRORS as exc:
             raise ChainFormatError(position + 1, f"not valid JSON: {exc}") from None
         record = _record_from_obj(obj, position)

@@ -35,7 +35,6 @@ Value functions, evaluated against the node's current value::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable
 from urllib.parse import quote
@@ -45,6 +44,7 @@ from .directives import (
     Phase,
     TrustLevel,
     check_fields,
+    load_json,
     phase_from_wire,
     trust_from_wire,
     validate_kind,
@@ -203,7 +203,7 @@ def _compile_node(node, where: str) -> Workflow:
 
 def load_scenario(document: bytes | str) -> Scenario:
     try:
-        obj = json.loads(document)
+        obj = load_json(document)
     except JSON_ERRORS as exc:
         raise ScenarioError(f"scenario document is not valid JSON: {exc}") from None
     check_fields(obj, {"input", "workflow"}, {"trust", "policy"}, "scenario", ScenarioError)

@@ -6,6 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from effectgov import bundled_path
@@ -304,6 +305,27 @@ FILE_ARGUMENTS = {
     "regions --policy": lambda f, out: ["regions", "--capabilities", MANIFEST,
                                         "--policy", f],
 }
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+@pytest.mark.parametrize("argument", sorted(FILE_ARGUMENTS))
+def test_file_arguments_read_utf8_only(argument, encoding, tmp_path, capsys):
+    # Each argument gets the valid document it expects, re-encoded.
+    chain = tmp_path / "chain.jsonl"
+    assert main(["run", "--scenario", SCENARIO, "--out", str(chain)]) == 0
+    valid = {
+        "run --scenario": SCENARIO,
+        "run --policy": POLICY_EMAIL_DB,
+        "verify": str(chain),
+        "regions --capabilities": MANIFEST,
+        "regions --policy": POLICY_FILTER,
+    }[argument]
+    path = tmp_path / "input"
+    path.write_bytes(Path(valid).read_text(encoding="utf-8").encode(encoding))
+    capsys.readouterr()
+    code, _, stderr = run_cli(capsys, *FILE_ARGUMENTS[argument](str(path), str(tmp_path / "o")))
+    assert code == 2
+    assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
 
 
 def _json_or_none(data: bytes):

@@ -1,11 +1,12 @@
 """Directive construction, validation and canonical serialization."""
 
+import enum
 import json
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from effectgov import (
     Directive,
@@ -27,6 +28,26 @@ def d(kind="email.send", params=None, issuer="step1", trust=TrustLevel.AGENT,
       phase=Phase.EXECUTE, id=1):
     return make_directive(kind, params if params is not None else {"to": "a@b.c", "body": "hi"},
                           issuer, trust, phase, id)
+
+
+def reference_bytes(obj) -> bytes:
+    """The canonical encoding as the stdlib encoder spells it."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    ).encode()
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
 
 
 def test_constructor_echo():
@@ -194,14 +215,101 @@ def test_parse_rejects_extra_and_missing_fields():
         parse_directive(json.dumps(obj))
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_parse_reads_bytes_as_utf8_only(encoding):
+    blob = d().canonical.decode("utf-8").encode(encoding)
+    with pytest.raises(DirectiveError, match="not valid JSON"):
+        parse_directive(blob)
+
+
 def test_unencodable_values_raise_directive_error():
     # An integer past the interpreter's int-string limit and a lone
-    # surrogate have no canonical encoding; both are DirectiveErrors.
-    for value in (10**5000, "\ud800"):
+    # surrogate have no canonical encoding; both are DirectiveErrors that
+    # carry the reference encoder's own message.
+    for value in (10**5000, -(10**5000), "\ud800", Text("x\udfff")):
         with pytest.raises(DirectiveError, match="no canonical encoding"):
             d(params={"n": value})
-        with pytest.raises(DirectiveError, match="no canonical encoding"):
+        with pytest.raises(ValueError) as reference:
+            reference_bytes(value)
+        with pytest.raises(DirectiveError) as excinfo:
             canonical_value_bytes(value)
+        assert str(excinfo.value) == f"value has no canonical encoding: {reference.value}"
+
+
+# Full Unicode text, with the characters JSON escapes or that tempt a
+# hand-written encoder drawn often: controls, quote, backslash, DEL, the
+# JavaScript line separators, a BOM and non-BMP code points.
+oracle_text = st.lists(
+    st.one_of(
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ufeff",
+                         "\U0001f600", "\U0010ffff"]),
+    ),
+    max_size=4,
+).map("".join)
+oracle_key = st.one_of(oracle_text, oracle_text.map(Text))
+oracle_scalar = st.one_of(
+    oracle_text,
+    oracle_text.map(Text),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=2**200).map(Count),
+    st.booleans(),
+    st.sampled_from(list(Level) + list(TrustLevel)),
+)
+
+
+@seed(20261018)
+@settings(max_examples=1000, deadline=None)
+@given(
+    kind=st.lists(st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=6),
+                  min_size=1, max_size=3).map(".".join),
+    params=st.dictionaries(oracle_key, oracle_scalar, max_size=6),
+    issuer=oracle_text.filter(bool),
+    trust=st.sampled_from(list(TrustLevel)),
+    phase=st.sampled_from(list(Phase)),
+    id=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_canonical_bytes_match_the_reference_encoder(kind, params, issuer, trust, phase, id):
+    directive = make_directive(kind, params, issuer, trust, phase, id)
+    assert directive.canonical == reference_bytes(
+        {
+            "id": id,
+            "issuer": issuer,
+            "kind": kind,
+            "params": params,
+            "phase": phase.value,
+            "required_capability": kind,
+            "trust": trust.wire_name,
+        }
+    )
+    for value in params.values():
+        assert canonical_value_bytes(value) == reference_bytes(value)
+
+
+@pytest.mark.parametrize(
+    "params, issuer",
+    [
+        ({"n": 10**5000}, "s"),
+        ({"n": "\ud800"}, "s"),
+        ({"\udfff": 1}, "s"),
+        ({"a": "ok"}, "step \udc80"),
+    ],
+    ids=["huge_int_param", "surrogate_param", "surrogate_key", "surrogate_issuer"],
+)
+def test_unencodable_directives_fail_like_the_reference(params, issuer):
+    fields = dict(id=1, issuer=issuer, kind="a.b", params=params, phase="plan",
+                  required_capability="a.b", trust="agent")
+    with pytest.raises(ValueError) as reference:
+        reference_bytes(fields)
+    with pytest.raises(DirectiveError) as excinfo:
+        make_directive("a.b", params, issuer, TrustLevel.AGENT, Phase.PLAN, 1)
+    assert str(excinfo.value) == f"directive has no canonical encoding: {reference.value}"
+
+
+@pytest.mark.parametrize("params", [{1: "a", "b": 2}, {"b": 2, 1: "a"}])
+def test_non_string_key_is_a_directive_error_not_a_sort_failure(params):
+    with pytest.raises(DirectiveError, match="param key must be a string, got 1"):
+        d(params=params)
 
 
 def test_canonical_value_bytes_distinguishes_scalar_types():

@@ -139,6 +139,15 @@ def test_malformed_json_rejected():
         load_policy(b'{"rules": [')
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_load_policy_reads_bytes_as_utf8_only(encoding):
+    # json.loads on bytes would detect UTF-16/32 and skip a UTF-8 BOM; the
+    # policy format is UTF-8, so all three are parse errors.
+    document = json.dumps({"rules": []}).encode(encoding)
+    with pytest.raises(PolicyError, match="not valid JSON"):
+        load_policy(document)
+
+
 policies = st.lists(
     st.sampled_from(["email.send", "db.query", "web.browse", "fs.read"]),
     unique=True, max_size=4,

@@ -15,13 +15,19 @@ from effectgov import (
     ChainIntegrityError,
     DENY_NO_CAPABILITY,
     ExecStatus,
+    GovernanceKernel,
+    HandlerRegistry,
     Phase,
+    Policy,
+    PolicyRule,
     ProvenanceRecord,
     TrustLevel,
     ZERO_DIGEST,
+    bundled_path,
     import_chain,
     make_directive,
 )
+from effectgov.cli import main
 from effectgov import provenance as provenance_module
 
 from support import fresh_kernel, random_policy, valid_params_for
@@ -233,3 +239,72 @@ def test_non_canonical_line_rejected():
     with pytest.raises(ChainIntegrityError) as excinfo:
         import_chain(b"".join(line + b"\n" for line in lines))
     assert excinfo.value.index == 1
+
+
+# Chain-format compatibility contract: these digests were computed from the
+# bytes 0.1.0 writes for the same inputs. A change to the canonical
+# directive encoding, the record line or the result digest moves them.
+BUNDLED_SCENARIO_CHAIN_SHA256 = (
+    "1627287d29eeb66549a8e38cea6e16c824e0950ee2ddb496979708b741af4478"
+)
+KERNEL_CHAIN_SHA256 = "31fddd047152f25ccab54c990d639aff25866ca84978d9eb32d70176fb8403c4"
+VARIED_CHAIN_SHA256 = "264f224ad6888cdc26aec71560f068b3ea09642fd902cee20e412cc057d416ba"
+
+# Characters the canonical encoding escapes or passes through verbatim.
+_VARIED_CHARS = ['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\x80", "\u00e9", "\u2028",
+                 "\u2029", "\ufeff", "\uffff", "\U0001f600", "\U0010ffff", "a", "Z", " "]
+
+
+def _varied_scalar(rng: random.Random):
+    pick = rng.random()
+    if pick < 0.5:
+        return "".join(rng.choice(_VARIED_CHARS) for _ in range(rng.randint(0, 6)))
+    if pick < 0.85:
+        return rng.randint(-(2**200), 2**200) >> rng.randint(0, 200)
+    return rng.random() < 0.5
+
+
+def varied_chain(n: int, seed: int) -> Chain:
+    """Kernel chain whose params, issuers and results span the scalar types."""
+    rng = random.Random(seed)
+    policy = Policy.from_rules([
+        PolicyRule(capability="echo.value", min_trust=TrustLevel.AGENT,
+                   allowed_phases=frozenset({Phase.EXECUTE})),
+        PolicyRule(capability="no.handler", min_trust=TrustLevel.UNTRUSTED,
+                   allowed_phases=frozenset(Phase)),
+    ])
+    registry = HandlerRegistry({"echo.value": lambda world, directive: directive.params["v"]})
+    kernel = GovernanceKernel(policy, registry, world=None)
+    for index in range(n):
+        params = {"v": _varied_scalar(rng)}
+        for _ in range(rng.randint(0, 3)):
+            key = "".join(rng.choice(_VARIED_CHARS) for _ in range(rng.randint(0, 3)))
+            params[key] = _varied_scalar(rng)
+        kernel.issue(
+            rng.choice(["echo.value", "echo.value", "no.handler", "shell.exec"]),
+            params,
+            f"step{index}" + rng.choice(_VARIED_CHARS),
+            rng.choice(list(TrustLevel)),
+            rng.choice(list(Phase)),
+        )
+    return kernel.chain
+
+
+def test_bundled_scenario_chain_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "chain.jsonl"
+    scenario = str(bundled_path("exfiltration_scenario.json"))
+    assert main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == BUNDLED_SCENARIO_CHAIN_SHA256
+    assert import_chain(blob).export() == blob
+
+
+@pytest.mark.parametrize(
+    "make_chain, digest",
+    [(build_chain, KERNEL_CHAIN_SHA256), (varied_chain, VARIED_CHAIN_SHA256)],
+    ids=["kernel", "varied"],
+)
+def test_seeded_kernel_chain_bytes_are_pinned(make_chain, digest):
+    blob = make_chain(300, seed=20261018).export()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert import_chain(blob).export() == blob

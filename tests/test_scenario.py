@@ -153,6 +153,13 @@ def test_scenario_not_json():
         load_scenario(b"{nope")
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_load_scenario_reads_bytes_as_utf8_only(encoding):
+    document = bundled_data("exfiltration_scenario.json").decode("utf-8").encode(encoding)
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        load_scenario(document)
+
+
 def test_policy_reference_parsed_and_optional():
     with_ref = load_scenario(bundled_data("exfiltration_scenario.json"))
     assert with_ref.policy_ref == "policy_email_db.json"
