@@ -63,15 +63,19 @@ def _cmd_run(args) -> int:
 
     world = seeded_world()
     kernel = GovernanceKernel(policy, standard_registry(), world)
+    failure = None
     try:
         result = run_workflow(scenario.workflow, scenario.input, kernel, trust=scenario.trust)
     except (WorkflowError, DirectiveError, RecursionError) as exc:
-        return _fail(f"workflow: {exc}")
+        failure = f"workflow: {exc}"
 
+    # A failed workflow still leaves the record of every effect it issued.
     try:
         Path(args.out).write_bytes(kernel.chain.export())
     except OSError as exc:
         return _fail(f"cannot write chain {args.out}: {exc}")
+    if failure is not None:
+        return _fail(f"{failure} ({len(kernel.chain)} records written to {args.out})")
 
     records = kernel.chain.records
     allows = sum(1 for record in records if record.decision.verdict is Verdict.ALLOW)

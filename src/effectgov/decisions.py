@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -20,16 +20,23 @@ class DecisionReason(Enum):
 
 @dataclass(frozen=True)
 class Decision:
-    """Verdict plus the reason for it; Allow pairs only with Granted."""
+    """Verdict plus the reason for it; Allow pairs only with Granted.
+
+    ``wire`` is the decision's JSON text in the chain line, key order fixed
+    (verdict, reason); computed once because every record embeds it.
+    """
 
     verdict: Verdict
     reason: DecisionReason
+    wire: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         allowed = self.verdict is Verdict.ALLOW
         granted = self.reason is DecisionReason.GRANTED
         if allowed != granted:
             raise ValueError(f"inconsistent decision: {self.verdict} with {self.reason}")
+        wire = '{"verdict":"%s","reason":"%s"}' % (self.verdict.value, self.reason.value)
+        object.__setattr__(self, "wire", wire)
 
 
 ALLOW_GRANTED = Decision(Verdict.ALLOW, DecisionReason.GRANTED)
@@ -37,28 +44,17 @@ DENY_NO_CAPABILITY = Decision(Verdict.DENY, DecisionReason.NO_CAPABILITY)
 DENY_INSUFFICIENT_TRUST = Decision(Verdict.DENY, DecisionReason.INSUFFICIENT_TRUST)
 DENY_PHASE_VIOLATION = Decision(Verdict.DENY, DecisionReason.PHASE_VIOLATION)
 
-# Wire form uses fixed key order (verdict, reason); precomputed because the
-# provenance hot path embeds it in every record.
-_WIRE_JSON = {
-    decision: '{"verdict":"%s","reason":"%s"}' % (decision.verdict.value, decision.reason.value)
+_VERDICT_BY_WIRE = {verdict.value: verdict for verdict in Verdict}
+_REASON_BY_WIRE = {reason.value: reason for reason in DecisionReason}
+# The four consistent decisions by wire pair, so a parsed record shares them.
+_DECISION_BY_WIRE = {
+    (decision.verdict.value, decision.reason.value): decision
     for decision in (
         ALLOW_GRANTED,
         DENY_NO_CAPABILITY,
         DENY_INSUFFICIENT_TRUST,
         DENY_PHASE_VIOLATION,
     )
-}
-
-
-def decision_wire_json(decision: Decision) -> str:
-    return _WIRE_JSON[decision]
-
-
-_VERDICT_BY_WIRE = {verdict.value: verdict for verdict in Verdict}
-_REASON_BY_WIRE = {reason.value: reason for reason in DecisionReason}
-# The four consistent decisions by wire pair, so a parsed record shares them.
-_DECISION_BY_WIRE = {
-    (decision.verdict.value, decision.reason.value): decision for decision in _WIRE_JSON
 }
 _DECISION_KEYS = frozenset({"verdict", "reason"})
 

@@ -270,6 +270,39 @@ class Directive:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "canonical", encoded)
 
+    @classmethod
+    def _from_canonical(
+        cls,
+        canonical: bytes,
+        id: int,
+        kind: str,
+        params: dict,
+        issuer: str,
+        trust: TrustLevel,
+        phase: Phase,
+    ) -> "Directive":
+        """Adopt fields together with their canonical bytes; checks nothing.
+
+        Precondition: ``canonical`` is the canonical encoding of exactly
+        these fields, and ``params`` is a dict of scalars in key-sorted
+        order. ``Directive(...)`` with the same fields would then pass every
+        check and render ``canonical``, so the result is equal to that
+        directive. Only a caller that has proved this from the bytes, the
+        chain-line recognizer in ``provenance``, may use it.
+        """
+        directive = object.__new__(cls)
+        directive.__dict__.update(
+            id=id,
+            kind=kind,
+            params=MappingProxyType(params),
+            issuer=issuer,
+            trust=trust,
+            required_capability=kind,
+            phase=phase,
+            canonical=canonical,
+        )
+        return directive
+
 
 def make_directive(
     kind: str,

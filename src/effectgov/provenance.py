@@ -17,17 +17,38 @@ The line bytes are the canonical form of the record. The link digest is
 with the genesis record linking from 32 zero bytes. Hex is lowercase.
 Records embed the directive in its canonical encoding, so a chain line is
 bit-exact reproducible from the record's fields alone.
+
+``import_chain`` reads each line with one compiled recognizer for that
+canonical line. A line it accepts is, by construction, the canonical line
+of a valid record, so the record is built from the match: the line is not
+parsed as JSON, nor the directive rendered, nor the record rendered back
+for comparison. A line it rejects is parsed in full (JSON, field checks,
+then a re-render compared with the line's bytes), which names the fault,
+so errors do not depend on the path. Links are then checked over the
+line bytes, as ``Chain.verify`` does.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import re
+from binascii import unhexlify
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .decisions import Decision, decision_from_obj, decision_wire_json
-from .directives import JSON_ERRORS, Directive, directive_from_obj, load_json
+from .decisions import _DECISION_BY_WIRE, Decision, decision_from_obj
+from .directives import (
+    EFFECT_KIND_GRAMMAR,
+    JSON_ERRORS,
+    MAX_DIRECTIVE_ID,
+    Directive,
+    Phase,
+    TrustLevel,
+    directive_from_obj,
+    load_json,
+)
 
 HASH_SIZE = 32
 ZERO_DIGEST = b"\x00" * HASH_SIZE
@@ -92,7 +113,7 @@ def _record_body(
         % (
             seq,
             directive.canonical.decode("utf-8"),
-            decision_wire_json(decision),
+            decision.wire,
             exec_status.value,
             result_digest.hex(),
             prev_hash.hex(),
@@ -275,6 +296,115 @@ def _record_from_obj(obj, index: int) -> ProvenanceRecord:
     )
 
 
+def _parse_line(raw: bytes, index: int) -> ProvenanceRecord:
+    """Record of one chain line through the JSON parser; raises what is wrong."""
+    try:
+        obj = load_json(raw)
+    except JSON_ERRORS as exc:
+        raise ChainFormatError(index + 1, f"not valid JSON: {exc}") from None
+    record = _record_from_obj(obj, index)
+    if record_line(record) != raw:
+        raise ChainIntegrityError(index, "record bytes are not in canonical form")
+    return record
+
+
+# The canonical-line recognizer: one grammar for the whole record line, as
+# _record_body and the directive template write it. Strings are spelled
+# exactly as json.encoder.encode_basestring spells them, integers carry no
+# sign on zero and no leading zeros, each enum and the four consistent
+# decisions are listed, and required_capability repeats kind. Only string
+# bodies admit bytes outside ASCII, so decoding the issuer and the params
+# strictly checks the whole line's UTF-8.
+_PHASES = {phase.value.encode(): phase for phase in Phase}
+_TRUSTS = {level.wire_name.encode(): level for level in TrustLevel}
+_STATUSES = {status.value.encode(): status for status in ExecStatus}
+_DECISIONS = {decision.wire.encode(): decision for decision in _DECISION_BY_WIRE.values()}
+
+
+def _one_of(table) -> str:
+    return "|".join(re.escape(key.decode("ascii")) for key in table)
+
+
+_NATURAL = r"(?:0|[1-9][0-9]*)"
+_INTEGER = r"(?:0|-?[1-9][0-9]*)"
+_PLAIN = r'[^"\\\x00-\x1f]*'
+# An unrolled loop; a per-character alternation is slower than a full parse.
+_STRING = r'"%s(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))%s)*"' % (_PLAIN, _PLAIN)
+_PAIR = r"%s:(?:%s|%s|true|false)" % (_STRING, _STRING, _INTEGER)
+_HEX = r"[0-9a-f]{64}"
+_LINE = re.compile(
+    (
+        r'\{"seq":(?P<seq>%(nat)s),"directive":(?P<directive>\{"id":(?P<id>%(nat)s),'
+        r'"issuer":(?P<issuer>(?!"")%(str)s),"kind":"(?P<kind>%(kind)s)",'
+        r'"params":(?P<params>\{(?:%(pair)s(?:,%(pair)s)*)?\}),"phase":"(?P<phase>%(phase)s)",'
+        r'"required_capability":"(?P=kind)","trust":"(?P<trust>%(trust)s)"\}),'
+        r'"decision":(?P<decision>%(decision)s),"exec_status":"(?P<status>%(status)s)",'
+        r'"result_digest":"(?P<result>%(hex)s)","prev_hash":"(?P<prev>%(hex)s)",'
+        r'"this_hash":"(?P<this>%(hex)s)"\}'
+        % {
+            "nat": _NATURAL,
+            "str": _STRING,
+            "kind": EFFECT_KIND_GRAMMAR,
+            "pair": _PAIR,
+            "phase": _one_of(_PHASES),
+            "trust": _one_of(_TRUSTS),
+            "decision": _one_of(_DECISIONS),
+            "status": _one_of(_STATUSES),
+            "hex": _HEX,
+        }
+    ).encode("ascii")
+).fullmatch
+_find_keys = re.compile((_STRING + ":").encode("ascii")).findall
+
+
+def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
+    """The record whose canonical line ``raw`` is, or None.
+
+    A line accepted here is, by the grammar and the checks below, the line
+    ``record_line`` renders for the record returned, so the line is not
+    parsed as a whole nor rendered back. None only means the recognizer does not vouch for
+    the line (an integer past the int-string limit, an id past 64 bits,
+    params keys out of order or repeated, bad UTF-8, or any spelling the
+    grammar lacks); the caller then parses it in full and names the fault.
+    """
+    match = _LINE(raw)
+    if match is None:
+        return None
+    seq, canonical, id_, issuer, kind, params, phase, trust, decision, status, *digests = (
+        match.group("seq", "directive", "id", "issuer", "kind", "params", "phase", "trust",
+                    "decision", "status", "result", "prev", "this")
+    )
+    try:
+        seq = int(seq)
+        id_ = int(id_)
+        issuer = issuer.decode("utf-8")
+        issuer = json.loads(issuer) if "\\" in issuer else issuer[1:-1]
+        values = json.loads(params.decode("utf-8"))
+    except ValueError:
+        return None
+    if id_ > MAX_DIRECTIVE_ID:
+        return None
+    keys = list(values)
+    if any(keys[i - 1] >= keys[i] for i in range(1, len(keys))):
+        return None
+    # A repeated key collapses in the dict, so count the line's own keys.
+    # Each ends in '":', which a string may also hold; only then count exactly.
+    if len(keys) != params.count(b'":') and len(keys) != len(_find_keys(params)):
+        return None
+    result_digest, prev_hash, this_hash = map(unhexlify, digests)
+    return ProvenanceRecord(
+        seq=seq,
+        directive=Directive._from_canonical(
+            canonical, id_, kind.decode("ascii"), values, issuer, _TRUSTS[trust], _PHASES[phase]
+        ),
+        decision=_DECISIONS[decision],
+        exec_status=_STATUSES[status],
+        result_digest=result_digest,
+        prev_hash=prev_hash,
+        this_hash=this_hash,
+    )
+
+
 def import_chain(data: bytes) -> Chain:
     """Parse and verify an exported chain.
 
@@ -289,12 +419,8 @@ def import_chain(data: bytes) -> Chain:
     if lines and lines[-1] == b"":
         lines.pop()
     for position, raw in enumerate(lines):
-        try:
-            obj = load_json(raw)
-        except JSON_ERRORS as exc:
-            raise ChainFormatError(position + 1, f"not valid JSON: {exc}") from None
-        record = _record_from_obj(obj, position)
-        if record_line(record) != raw:
-            raise ChainIntegrityError(position, "record bytes are not in canonical form")
+        record = _recognize(raw)
+        if record is None:
+            record = _parse_line(raw, position)
         records.append(record)
     return Chain._adopt(records, lines)

@@ -274,6 +274,33 @@ def test_run_too_deep_to_read_or_evaluate_is_usage_error(tmp_path, capsys):
     assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
 
 
+def test_failed_run_writes_the_records_already_issued(tmp_path, capsys):
+    def query(select):
+        return {"emit": {"name": select, "kind": "db.query", "params": {
+            "table": {"op": "const", "value": "users"},
+            "select": {"op": "const", "value": select},
+        }}}
+
+    # The third emit reads a field its input lacks, so it raises at run time.
+    send = {"emit": {"name": "send", "kind": "email.send", "params": {
+        "to": {"op": "select-field", "field": "missing"},
+        "body": {"op": "const", "value": "hi"},
+    }}}
+    chains = {}
+    for name, parts in (("prefix", [query("id"), query("email")]),
+                        ("failing", [query("id"), query("email"), send])):
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps({"input": 1, "workflow": {"seq": parts}}))
+        chains[name] = tmp_path / f"{name}.jsonl"
+        code, _, stderr = run_cli(capsys, "run", "--scenario", str(scenario),
+                                  "--policy", POLICY_ALL, "--out", str(chains[name]))
+        assert code == (2 if name == "failing" else 0)
+    assert stderr.startswith("effectgov: workflow: ") and stderr.count("\n") == 1
+    assert run_cli(capsys, "verify", str(chains["failing"]))[0] == 0
+    assert chains["failing"].read_bytes() == chains["prefix"].read_bytes()
+    assert len(chains["prefix"].read_bytes().splitlines()) == 2
+
+
 # Documents no reader accepts: not UTF-8, not JSON, past the decoder's
 # nesting or int-string limits, or JSON of the wrong shape for every
 # document type (policy, scenario, capability manifest, chain record).

@@ -1,12 +1,14 @@
 """Chain linking, verification, tamper evidence and the JSONL format."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from effectgov import (
     ALLOW_GRANTED,
@@ -148,8 +150,7 @@ def test_import_renders_each_record_once_and_verify_renders_none(monkeypatch):
 
     monkeypatch.setattr(provenance_module, "_record_body", counting_render)
     imported = import_chain(blob)
-    assert rendered == list(range(12))
-    rendered.clear()
+    assert rendered == []  # canonical lines are recognized, not re-rendered
     assert imported.verify().valid
     assert chain.verify().valid
     assert rendered == []
@@ -308,3 +309,153 @@ def test_seeded_kernel_chain_bytes_are_pinned(make_chain, digest):
     blob = make_chain(300, seed=20261018).export()
     assert hashlib.sha256(blob).hexdigest() == digest
     assert import_chain(blob).export() == blob
+
+
+def test_recognizer_takes_every_golden_line():
+    # Every canonical line takes the recognizer's path, none the full parse.
+    for make_chain in (build_chain, varied_chain):
+        for line in make_chain(300, seed=20261018).export().split(b"\n")[:-1]:
+            assert provenance_module._recognize(line) is not None, line
+
+
+def import_by_full_parse(blob: bytes) -> Chain:
+    """import_chain with every line parsed in full: the recognizer's oracle."""
+    lines = blob.split(b"\n")[:-1]
+    records = [provenance_module._parse_line(raw, index) for index, raw in enumerate(lines)]
+    return Chain._adopt(records, lines)
+
+
+def assert_same_records(got, expected):
+    assert got == expected
+    assert got.directive.canonical == expected.directive.canonical
+    # Equal dicts may still differ in key order or in True against 1.
+    assert [(k, type(v), v) for k, v in got.directive.params.items()] == [
+        (k, type(v), v) for k, v in expected.directive.params.items()
+    ]
+
+
+@functools.cache
+def oracle_lines() -> tuple:
+    return tuple(
+        tuple(chain.export().split(b"\n")[:-1])
+        for chain in (build_chain(12, seed=31), varied_chain(24, seed=32))
+    )
+
+
+def _json(value) -> bytes:
+    return json.dumps(value, ensure_ascii=False).encode("utf-8")
+
+
+# Mutations of one valid line. Each takes the line and pick(options), which
+# draws one of the options; most mutants leave the grammar, some stay in it.
+def _replace_one(line: bytes, old: bytes, new: bytes, pick) -> bytes:
+    starts = [match.start() for match in re.finditer(re.escape(old), line)]
+    if not starts:
+        return line
+    at = pick(starts)
+    return line[:at] + new + line[at + len(old):]
+
+
+def _flip(line, pick):
+    mutated = bytearray(line)
+    flip_bit(mutated, pick(range(len(line) * 8)))
+    return bytes(mutated)
+
+
+_RE_ESCAPES = [
+    (b"/", b"\\/"),
+    (b"\\n", b"\\u000a"),
+    (b"\\u001f", b"\\u001F"),
+    (b'\\"', b"\\u0022"),
+    (b"\\\\", b"\\u005c"),
+    (b"\xc3\xa9", b"\\u00e9"),
+    (b"\x7f", b"\\u007f"),
+]
+
+
+def _re_escape(line, pick):
+    if pick([True, False]):
+        at = pick([i for i, byte in enumerate(line) if chr(byte).isalpha() and byte < 128])
+        return line[:at] + b"\\u%04x" % line[at] + line[at + 1:]
+    old, new = pick(_RE_ESCAPES)
+    return _replace_one(line, old, new, pick)
+
+
+def _params(line, pick):
+    params = json.loads(line)["directive"]["params"]
+    pairs = [_json(key) + b":" + _json(value) for key, value in params.items()]
+    old = b'"params":{%s}' % b",".join(pairs)
+    assert old in line
+    if not pairs:
+        return line
+    i = pick(range(len(pairs)))
+    how = pick(["duplicate", "same key, other value", "swap"])
+    if how == "duplicate":
+        pairs.insert(pick(range(len(pairs) + 1)), pairs[i])
+    elif how == "same key, other value":
+        pairs.insert(pick([i, i + 1]), _json(list(params)[i]) + b':"x"')
+    elif len(pairs) > 1:
+        j = pick([k for k in range(len(pairs)) if k != i])
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    return line.replace(old, b'"params":{%s}' % b",".join(pairs))
+
+
+def _empty_string(line, pick):
+    strings = list(re.finditer(rb'(?<=":)"(?:[^"\\]|\\.)*"', line))
+    string = pick(strings)
+    return line[: string.start()] + b'""' + line[string.end():]
+
+
+_INT_SPELLINGS = [b"-0", b"00", b"01", b"%d" % 2**64, b"%d" % (2**64 - 1), b"9" * 5_000]
+
+
+def _integer(line, pick):
+    tokens = list(re.finditer(rb'(?<=":)-?[0-9]+(?=[,}])', line))
+    if not tokens:
+        return line
+    token = pick(tokens)
+    spelling = pick(_INT_SPELLINGS + [b"0" + token.group(), b"-" + token.group()])
+    return line[: token.start()] + spelling + line[token.end():]
+
+
+def _hex_case(line, pick):
+    run = pick([m.start() for m in re.finditer(rb'"[0-9a-f]{64}"', line)]) + 1
+    at = pick([i for i in range(run, run + 64) if line[i:i + 1] in b"abcdef"] or [run])
+    return line[:at] + line[at:at + 1].upper() + line[at + 1:]
+
+
+def _decision(line, pick):
+    old = re.search(rb'"decision":\{[^}]*\}', line).group()
+    verdict = pick([b"allow", b"deny"])
+    reason = pick([b"granted", b"no_capability", b"insufficient_trust", b"phase_violation"])
+    return line.replace(old, b'"decision":{"verdict":"%s","reason":"%s"}' % (verdict, reason))
+
+
+MUTATIONS = [_flip, _re_escape, _params, _empty_string, _integer, _hex_case, _decision]
+
+
+def outcome(importer, blob: bytes):
+    try:
+        return importer(blob)
+    except (ChainFormatError, ChainIntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+@seed(20261018)
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_recognizer_agrees_with_the_full_parse(data):
+    pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+    lines = list(pick(oracle_lines()))
+    index = pick(range(len(lines)))
+    mutant = pick(MUTATIONS)(lines[index], pick)
+    recognized = provenance_module._recognize(mutant)
+    if recognized is not None:
+        assert_same_records(recognized, provenance_module._parse_line(mutant, index))
+    lines[index] = mutant
+    blob = b"".join(line + b"\n" for line in lines)
+    fast, full = outcome(import_chain, blob), outcome(import_by_full_parse, blob)
+    assert fast == full
+    if isinstance(fast, Chain):
+        for got, expected in zip(fast.records, full.records):
+            assert_same_records(got, expected)
