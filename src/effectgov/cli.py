@@ -73,7 +73,8 @@ def _cmd_run(args) -> int:
     try:
         Path(args.out).write_bytes(kernel.chain.export())
     except OSError as exc:
-        return _fail(f"cannot write chain {args.out}: {exc}")
+        prefix = "" if failure is None else f"{failure}; "
+        return _fail(f"{prefix}cannot write chain {args.out}: {exc}")
     if failure is not None:
         return _fail(f"{failure} ({len(kernel.chain)} records written to {args.out})")
 

@@ -354,7 +354,6 @@ _LINE = re.compile(
         }
     ).encode("ascii")
 ).fullmatch
-_find_keys = re.compile((_STRING + ":").encode("ascii")).findall
 
 
 def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
@@ -387,9 +386,9 @@ def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
     keys = list(values)
     if any(keys[i - 1] >= keys[i] for i in range(1, len(keys))):
         return None
-    # A repeated key collapses in the dict, so count the line's own keys.
-    # Each ends in '":', which a string may also hold; only then count exactly.
-    if len(keys) != params.count(b'":') and len(keys) != len(_find_keys(params)):
+    # A repeated key collapses in the dict, so count the line's own keys by
+    # their '":'; a string that holds '":' takes the full parse.
+    if len(keys) != params.count(b'":'):
         return None
     result_digest, prev_hash, this_hash = map(unhexlify, digests)
     return ProvenanceRecord(

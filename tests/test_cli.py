@@ -299,6 +299,11 @@ def test_failed_run_writes_the_records_already_issued(tmp_path, capsys):
     assert run_cli(capsys, "verify", str(chains["failing"]))[0] == 0
     assert chains["failing"].read_bytes() == chains["prefix"].read_bytes()
     assert len(chains["prefix"].read_bytes().splitlines()) == 2
+    # When the chain cannot be written either, both faults share the one line.
+    code, _, stderr = run_cli(capsys, "run", "--scenario", str(tmp_path / "failing.json"),
+                              "--policy", POLICY_ALL, "--out", str(tmp_path / "no" / "c.jsonl"))
+    assert code == 2 and stderr.count("\n") == 1
+    assert stderr.startswith("effectgov: workflow: ") and "; cannot write chain " in stderr
 
 
 # Documents no reader accepts: not UTF-8, not JSON, past the decoder's
