@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import gap_probability, regions, simulate_monitor
-from .bench import REFERENCE_MEDIANS_MS, bench_context_message, bench_governed_vs_direct
+from .bench import REFERENCE_MEDIANS_MS, bench_governed_vs_direct
 from .decisions import Verdict
 from .directives import JSON_ERRORS, DirectiveError, check_fields, load_json
 from .kernel import GovernanceKernel
@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
     failure = None
     try:
         result = run_workflow(scenario.workflow, scenario.input, kernel, trust=scenario.trust)
-    except (WorkflowError, DirectiveError, RecursionError) as exc:
+    except (WorkflowError, DirectiveError) as exc:
         failure = f"workflow: {exc}"
 
     # A failed workflow still leaves the record of every effect it issued.
@@ -188,15 +188,11 @@ def _cmd_simulate_monitor(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         governed, direct = bench_governed_vs_direct(iters=args.iters, warmup=args.warmup)
-        context = bench_context_message(
-            context_size=args.context_size, iters=args.iters, warmup=args.warmup
-        )
     except ValueError as exc:
         return _fail(str(exc))
     obj = {
         "governed": governed.to_json_obj(),
         "direct": direct.to_json_obj(),
-        "context": context.to_json_obj(),
         "overhead_ratio": governed.median_us / direct.median_us,
         "reference_medians_ms": REFERENCE_MEDIANS_MS,
     }
@@ -210,7 +206,6 @@ def _cmd_bench(args) -> int:
         yield f"governed median {s['governed']['median_us']:.1f} us"
         yield f"direct   median {s['direct']['median_us']:.1f} us"
         yield f"overhead ratio  {s['overhead_ratio']:.2f}"
-        yield f"context  median {s['context']['median_us']:.1f} us ({args.context_size} B)"
 
     _emit(obj, args.human, lines)
     return EXIT_OK
@@ -259,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser("bench", help="latency benchmarks, governed vs direct")
     bench_p.add_argument("--iters", type=int, default=50)
     bench_p.add_argument("--warmup", type=int, default=5)
-    bench_p.add_argument("--context-size", type=int, default=4096)
     bench_p.add_argument("--out", help="also write the report JSON to this path")
     bench_p.add_argument("--human", action="store_true")
     bench_p.set_defaults(fn=_cmd_bench)

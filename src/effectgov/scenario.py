@@ -31,6 +31,11 @@ Value functions, evaluated against the node's current value::
                                                base?q=<urlencoded current>
     {"op": "concat", "parts": [<valuefn>...]}  string concatenation
     {"op": "eq", "left": <valuefn>, "right": <valuefn>}   equality test
+
+A document nested deeper than MAX_DEPTH objects and arrays, counting the
+top-level object as 1, is refused before anything is compiled. That
+bounds the recursion of compiling, running and comparing (``eq``) values,
+so a loaded scenario cannot run out of stack part-way through its effects.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ from .workflow import (
 
 Value = Any
 ValueFn = Callable[[Value], Value]
+
+MAX_DEPTH = 64
 
 
 class ScenarioError(ValueError):
@@ -201,12 +208,32 @@ def _compile_node(node, where: str) -> Workflow:
     raise ScenarioError(f"{where}: unknown node type {node_type!r}")
 
 
+def _check_depth(document: dict) -> None:
+    """Refuse containers nested past MAX_DEPTH, one level at a time.
+
+    Exact type tests suffice because the JSON decoder builds plain dicts
+    and lists, and they cost half what isinstance does here.
+    """
+    level = [document]
+    for _ in range(MAX_DEPTH):
+        level = [
+            child
+            for node in level
+            for child in (node.values() if type(node) is dict else node)
+            if type(child) in (dict, list)
+        ]
+        if not level:
+            return
+    raise ScenarioError(f"scenario: nested deeper than {MAX_DEPTH} levels")
+
+
 def load_scenario(document: bytes | str) -> Scenario:
     try:
         obj = load_json(document)
     except JSON_ERRORS as exc:
         raise ScenarioError(f"scenario document is not valid JSON: {exc}") from None
     check_fields(obj, {"input", "workflow"}, {"trust", "policy"}, "scenario", ScenarioError)
+    _check_depth(obj)
     try:
         trust = trust_from_wire(obj.get("trust", TrustLevel.AGENT.wire_name))
     except ValueError as exc:
@@ -214,8 +241,5 @@ def load_scenario(document: bytes | str) -> Scenario:
     policy_ref = obj.get("policy")
     if policy_ref is not None and not isinstance(policy_ref, str):
         raise ScenarioError("scenario: 'policy' must be a string path")
-    try:
-        workflow = _compile_node(obj["workflow"], "workflow")
-    except RecursionError:
-        raise ScenarioError("workflow: nested too deeply") from None
+    workflow = _compile_node(obj["workflow"], "workflow")
     return Scenario(workflow=workflow, input=obj["input"], trust=trust, policy_ref=policy_ref)

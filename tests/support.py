@@ -12,20 +12,16 @@ from __future__ import annotations
 import random
 
 from effectgov import (
-    Emit,
     GovernanceKernel,
-    Iterate,
     Phase,
     Policy,
     PolicyRule,
-    PureStep,
-    SIM_CAPABILITIES,
-    Seq,
-    Branch,
     TrustLevel,
     seeded_world,
     standard_registry,
 )
+from effectgov.simworld import SIM_CAPABILITIES
+from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq
 
 SIM_KINDS = sorted(SIM_CAPABILITIES)
 ALL_PHASES = list(Phase)

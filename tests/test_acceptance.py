@@ -124,7 +124,7 @@ def test_criterion_4_safety_bijection():
 def test_criterion_5_compositionality():
     with criterion(5, "chain(Seq(A,B)) == chain(A) ++ chain(B) for 1,000 pairs",
                    budget_seconds=60.0):
-        from effectgov import Seq
+        from effectgov.workflow import Seq
 
         for index in range(1_000):
             rng = random.Random(52_000_000 + index)

@@ -17,14 +17,14 @@ from effectgov import (
     PolicyRule,
     TrustLevel,
     decide,
-    enumerate_directive_space,
     gap_probability,
     layered_cost,
-    policy_capabilities,
     regions,
     simulate_monitor,
     standard_registry,
 )
+from effectgov.analysis import enumerate_directive_space
+from effectgov.policy import policy_capabilities
 
 
 def policy_for(*capabilities):

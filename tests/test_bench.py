@@ -1,8 +1,9 @@
-"""Benchmark harness: report shape, validation, payload monotonicity."""
+"""Benchmark harness: report shape and validation."""
 
 import pytest
 
-from effectgov import REFERENCE_MEDIANS_MS, bench_context_message, bench_governed_vs_direct
+from effectgov import bench_governed_vs_direct
+from effectgov.bench import REFERENCE_MEDIANS_MS
 
 
 def test_reports_record_config_verbatim():
@@ -18,8 +19,6 @@ def test_reports_record_config_verbatim():
 def test_zero_iterations_rejected():
     with pytest.raises(ValueError, match="iterations"):
         bench_governed_vs_direct(iters=0)
-    with pytest.raises(ValueError, match="iterations"):
-        bench_context_message(iters=0)
 
 
 def test_negative_warmup_rejected():
@@ -31,30 +30,6 @@ def test_percentiles_ordered():
     governed, direct = bench_governed_vs_direct(iters=30, warmup=3)
     for report in (governed, direct):
         assert report.p99_us >= report.median_us > 0
-
-
-def test_context_report_positive_latency():
-    report = bench_context_message(context_size=4096, iters=20, warmup=2)
-    assert report.scenario == "context_message_4096"
-    assert report.median_us > 0
-    assert report.machine
-
-
-def test_context_latency_monotone_in_payload():
-    # Interleaved pairs cancel scheduler drift on this host; the payload
-    # cost must not be negative on the median paired comparison.
-    deltas = []
-    for _ in range(7):
-        empty = bench_context_message(context_size=0, iters=100, warmup=10)
-        full = bench_context_message(context_size=4096, iters=100, warmup=10)
-        deltas.append(full.median_us - empty.median_us)
-    deltas.sort()
-    assert deltas[len(deltas) // 2] >= 0
-
-
-def test_context_size_validated():
-    with pytest.raises(ValueError, match="context_size"):
-        bench_context_message(context_size=-1)
 
 
 def test_reference_medians_present():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from effectgov import bundled_path
+from effectgov import bundled_path, cli, seeded_world
 from effectgov.cli import main
 
 
@@ -204,14 +204,15 @@ def test_simulate_monitor_zero_trials_is_usage_error(capsys):
 def test_bench_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(
-        capsys, "bench", "--iters", "10", "--warmup", "2", "--context-size", "256",
-        "--out", str(out),
+        capsys, "bench", "--iters", "10", "--warmup", "2", "--out", str(out),
     )
     assert code == 0
     report = json.loads(stdout)
     assert report["governed"]["iterations"] == 10
     assert report["reference_medians_ms"]["governed"] == 0.23
+    assert "context" not in report
     assert json.loads(out.read_text()) == report
+    assert run_cli(capsys, "bench", "--context-size", "1")[0] == 2
 
 
 def test_human_flags(capsys, tmp_path):
@@ -259,8 +260,8 @@ def test_run_long_seq_scenario(tmp_path, capsys):
 
 
 def test_run_too_deep_to_read_or_evaluate_is_usage_error(tmp_path, capsys):
-    # 600 nested concats: whichever stack runs out first, the JSON decoder's
-    # (CPython 3.10-3.11) or the evaluator's (3.12+), it is a usage error.
+    # 600 nested concats: refused by the JSON decoder's stack (CPython
+    # 3.10-3.11) or by the scenario nesting bound (3.12+), a usage error.
     fn = '{"op": "concat", "parts": [' * 600 + '{"op": "input"}' + "]}" * 600
     scenario = tmp_path / "deep.json"
     scenario.write_text(
@@ -272,6 +273,38 @@ def test_run_too_deep_to_read_or_evaluate_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
+
+
+def test_run_refuses_a_too_deep_scenario_before_any_effect(tmp_path, capsys, monkeypatch):
+    # Unbounded, 340 nested concats would load and compile, then overflow the
+    # stack when run, after the emit before them had taken effect.
+    worlds = []
+
+    def spy_world():
+        worlds.append(seeded_world())
+        return worlds[-1]
+
+    monkeypatch.setattr(cli, "seeded_world", spy_world)
+    query = {"emit": {"name": "q", "kind": "db.query", "params": {
+        "table": {"op": "const", "value": "users"},
+        "select": {"op": "const", "value": "email"},
+    }}}
+    fn = {"op": "input"}
+    for _ in range(340):
+        fn = {"op": "concat", "parts": [fn]}
+    scenario = tmp_path / "deep.json"
+    scenario.write_text(json.dumps({
+        "input": "x", "workflow": {"seq": [query, {"step": {"name": "s", "fn": fn}}]},
+    }))
+    out = tmp_path / "chain.jsonl"
+    code, _, stderr = run_cli(
+        capsys, "run", "--scenario", str(scenario), "--policy", POLICY_ALL, "--out", str(out)
+    )
+    assert code == 2
+    assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
+    assert "nested deeper than 64 levels" in stderr
+    assert not out.exists()
+    assert all(world.mutation_count == 0 for world in worlds)
 
 
 def test_failed_run_writes_the_records_already_issued(tmp_path, capsys):

@@ -8,18 +8,15 @@ import re
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from effectgov import (
+from effectgov import DirectiveError, Phase, TrustLevel, seeded_world
+from effectgov.directives import (
+    EFFECT_KIND_GRAMMAR,
     Directive,
-    DirectiveError,
-    Phase,
-    TrustLevel,
     canonical_value_bytes,
     make_directive,
     parse_directive,
-    seeded_world,
     validate_kind,
 )
-from effectgov.directives import EFFECT_KIND_GRAMMAR
 
 KIND_RE = re.compile(EFFECT_KIND_GRAMMAR + r"\Z")
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effectgov import (
-    Decision,
     DecisionReason,
     EMPTY_POLICY,
     ExecStatus,
@@ -20,11 +19,12 @@ from effectgov import (
     TrustLevel,
     Verdict,
     decide,
-    enumerate_directive_space,
-    make_directive,
     seeded_world,
     standard_registry,
 )
+from effectgov.analysis import enumerate_directive_space
+from effectgov.decisions import Decision
+from effectgov.directives import make_directive
 
 from support import fresh_kernel, random_policy, valid_params_for
 

@@ -13,10 +13,8 @@ from effectgov import (
     PolicyRule,
     TrustLevel,
     load_policy,
-    narrow,
-    policy_capabilities,
-    serialize_policy,
 )
+from effectgov.policy import narrow, policy_capabilities, serialize_policy
 
 
 def rule(capability="email.send", min_trust=TrustLevel.AGENT, phases=(Phase.EXECUTE,)):

@@ -11,24 +11,22 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from effectgov import (
-    ALLOW_GRANTED,
     Chain,
     ChainFormatError,
     ChainIntegrityError,
-    DENY_NO_CAPABILITY,
     ExecStatus,
     GovernanceKernel,
     HandlerRegistry,
     Phase,
     Policy,
     PolicyRule,
-    ProvenanceRecord,
     TrustLevel,
-    ZERO_DIGEST,
     bundled_path,
     import_chain,
-    make_directive,
 )
+from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
+from effectgov.directives import make_directive
+from effectgov.provenance import ProvenanceRecord, ZERO_DIGEST
 from effectgov.cli import main
 from effectgov import provenance as provenance_module
 

@@ -15,6 +15,7 @@ from effectgov import (
     seeded_world,
     standard_registry,
 )
+from effectgov.scenario import MAX_DEPTH
 
 
 def run_scenario(scenario_doc, policy_doc):
@@ -172,3 +173,19 @@ def test_policy_reference_parsed_and_optional():
             "input": 1, "policy": 7,
             "workflow": {"step": {"name": "s", "fn": {"op": "input"}}},
         }))
+
+
+def nested_input_scenario(depth):
+    """A scenario document nested exactly ``depth`` levels, through its input."""
+    value = []
+    for _ in range(depth - 2):  # the top-level object and innermost list make two
+        value = [value]
+    return json.dumps({"input": value, "workflow": {"step": {"name": "s", "fn": {"op": "input"}}}})
+
+
+def test_nesting_bound_is_exact():
+    scenario = load_scenario(nested_input_scenario(MAX_DEPTH))
+    kernel = GovernanceKernel(load_policy(b'{"rules": []}'), standard_registry(), seeded_world())
+    assert run(scenario.workflow, scenario.input, kernel).output == scenario.input
+    with pytest.raises(ScenarioError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        load_scenario(nested_input_scenario(MAX_DEPTH + 1))

@@ -12,10 +12,10 @@ from effectgov import (
     Policy,
     PolicyRule,
     TrustLevel,
-    canonical_value_bytes,
     seeded_world,
     standard_registry,
 )
+from effectgov.directives import canonical_value_bytes
 
 
 def all_sim_policy():
