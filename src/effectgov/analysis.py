@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .directives import Directive, Phase, Scalar, TrustLevel, check_count, make_directive
+from .directives import Directive, Phase, TrustLevel, check_count, make_directive
 from .policy import Policy, policy_capabilities
 
 # Cap on geometric draws (one per trial) held at once; at 8 bytes each a
@@ -62,22 +62,17 @@ def regions(expressiveness: Iterable[str], policy: Policy) -> RegionReport:
     )
 
 
-def enumerate_directive_space(
-    kinds: Iterable[str],
-    trusts: Iterable[TrustLevel] = tuple(TrustLevel),
-    phases: Iterable[Phase] = tuple(Phase),
-    issuer: str = "probe",
-    params: Mapping[str, Scalar] | None = None,
-) -> Iterator[Directive]:
-    """Every well-formed directive over small finite field choices.
+def enumerate_directive_space(kinds: Iterable[str]) -> Iterator[Directive]:
+    """One directive per (kind, trust, phase), with empty params.
 
-    Decisions are syntactic, so a policy's behavior over a bounded
-    directive space can be checked exhaustively instead of sampled; ids
-    run sequentially through the enumeration.
+    Decisions are syntactic and read only kind, trust and phase, so a
+    policy's behavior over the given kinds can be checked exhaustively
+    instead of sampled; ids run sequentially through the enumeration, and
+    the issuer is "probe".
     """
     counter = itertools.count(1)
-    for kind, trust, phase in itertools.product(kinds, trusts, phases):
-        yield make_directive(kind, params or {}, issuer, trust, phase, next(counter))
+    for kind, trust, phase in itertools.product(kinds, TrustLevel, Phase):
+        yield make_directive(kind, {}, "probe", trust, phase, next(counter))
 
 
 def _validate_coverage(coverage: float) -> float:

@@ -115,7 +115,7 @@ def _email_policy() -> Policy:
 
 def _invoke_direct(registry: HandlerRegistry, world: SimWorld, directive: Directive):
     # Measurement-only bypass: no decision, no provenance. Keep private.
-    handler = registry.get(directive.required_capability)
+    handler = registry.get(directive.kind)
     return handler(world, directive)
 
 

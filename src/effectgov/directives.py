@@ -11,7 +11,7 @@ insignificant whitespace, integers base-10, booleans ``true``/``false``.
 Directives with equal fields always produce identical bytes. These are the
 bytes ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
 ensure_ascii=False)`` gives; they are built here by one scalar renderer,
-``_scalar_json``, and a fixed template for the directive's seven fields.
+``_scalar_json``, and a fixed template for the directive's seven keys.
 """
 
 from __future__ import annotations
@@ -208,6 +208,7 @@ def _render_params(params) -> tuple[Mapping[str, Scalar], str]:
 
 # The canonical form's key order; kind, phase and trust go in unescaped
 # because the kind grammar and the two enums admit no character JSON escapes.
+# The kind fills both "kind" and "required_capability".
 _CANONICAL_TEMPLATE = (
     '{"id":%d,"issuer":%s,"kind":"%s","params":%s,"phase":"%s",'
     '"required_capability":"%s","trust":"%s"}'
@@ -220,7 +221,7 @@ class Directive:
 
     ``params`` is stored key-sorted behind a read-only view, and the
     canonical encoding is computed once at construction; a directive's
-    identity is its content.
+    identity is its content. The capability it requires is its kind.
     """
 
     id: int
@@ -228,7 +229,6 @@ class Directive:
     params: Mapping[str, Scalar]
     issuer: str
     trust: TrustLevel
-    required_capability: str
     phase: Phase
     canonical: bytes = field(init=False, repr=False, compare=False)
 
@@ -238,10 +238,6 @@ class Directive:
         if not 0 <= self.id <= MAX_DIRECTIVE_ID:
             raise DirectiveError(f"directive id {self.id} outside unsigned 64-bit range")
         kind = self.kind
-        if self.required_capability != kind:
-            raise DirectiveError(
-                f"required_capability {self.required_capability!r} must equal kind {kind!r}"
-            )
         validate_kind(kind)
         if not isinstance(self.issuer, str) or self.issuer == "":
             raise DirectiveError("issuer must be a non-empty string")
@@ -270,6 +266,10 @@ class Directive:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "canonical", encoded)
 
+    @property
+    def required_capability(self) -> str:
+        return self.kind
+
     @classmethod
     def _from_canonical(
         cls,
@@ -297,7 +297,6 @@ class Directive:
             params=MappingProxyType(params),
             issuer=issuer,
             trust=trust,
-            required_capability=kind,
             phase=phase,
             canonical=canonical,
         )
@@ -313,15 +312,7 @@ def make_directive(
     id: int,
 ) -> Directive:
     """Build a validated directive. No world interaction of any sort."""
-    return Directive(
-        id=id,
-        kind=kind,
-        params=params,
-        issuer=issuer,
-        trust=trust,
-        required_capability=kind,
-        phase=phase,
-    )
+    return Directive(id=id, kind=kind, params=params, issuer=issuer, trust=trust, phase=phase)
 
 
 _DIRECTIVE_KEYS = frozenset(
@@ -335,13 +326,15 @@ def directive_from_obj(obj) -> Directive:
     params = obj["params"]
     if not isinstance(params, dict):
         raise DirectiveError("directive params must be a JSON object")
+    kind, required = obj["kind"], obj["required_capability"]
+    if required != kind:
+        raise DirectiveError(f"required_capability {required!r} must equal kind {kind!r}")
     return Directive(
         id=obj["id"],
-        kind=obj["kind"],
+        kind=kind,
         params=params,
         issuer=obj["issuer"],
         trust=trust_from_wire(obj["trust"]),
-        required_capability=obj["required_capability"],
         phase=phase_from_wire(obj["phase"]),
     )
 

@@ -80,7 +80,7 @@ class HandlerRegistry:
 
 def decide(policy: Policy, directive: Directive) -> Decision:
     """Pure, total decision: capability lookup, then trust, then phase."""
-    rule = policy.rules.get(directive.required_capability)
+    rule = policy.rules.get(directive.kind)
     if rule is None:
         return DENY_NO_CAPABILITY
     if directive.trust < rule.min_trust:
@@ -92,13 +92,23 @@ def decide(policy: Policy, directive: Directive) -> Decision:
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    """What one submission produced: the decision, and the result if any."""
+    """What one submission produced: its record, and the result if any.
 
-    decision: Decision
-    exec_status: ExecStatus
-    result: Optional[Scalar]
+    The decision and exec status are read from the record; the chain keeps
+    the result only as a digest and the handler's error not at all.
+    """
+
     record: ProvenanceRecord
+    result: Optional[Scalar]
     error: Optional[str] = None
+
+    @property
+    def decision(self) -> Decision:
+        return self.record.decision
+
+    @property
+    def exec_status(self) -> ExecStatus:
+        return self.record.exec_status
 
     @property
     def performed(self) -> bool:
@@ -135,7 +145,8 @@ class GovernanceKernel:
         self._world = world
         self._chain = chain if chain is not None else Chain()
         self._lock = threading.Lock()
-        self._last_id = 0
+        # The highest id, not the last: an imported chain need not ascend.
+        self._last_id = max((record.directive.id for record in self._chain.records), default=0)
         self._theater_ids: list[int] = []
 
     @property
@@ -176,9 +187,9 @@ class GovernanceKernel:
     def submit(self, directive: Directive) -> ExecutionOutcome:
         """Decide, execute if allowed, and record; atomic per directive.
 
-        Ids must be strictly increasing across submit and issue, so the
-        (kind, id) journal stays unambiguous; a later issue continues from
-        the highest id submitted.
+        Ids must be strictly increasing across submit and issue, and above
+        every id in a chain the kernel was given, so the (kind, id) journal
+        stays unambiguous; a later issue continues from the highest id.
         """
         with self._lock:
             if directive.id <= self._last_id:
@@ -194,7 +205,7 @@ class GovernanceKernel:
         error: Optional[str] = None
         digest = ZERO_DIGEST
         if decision.verdict is Verdict.ALLOW:
-            handler = self._registry.get(directive.required_capability)
+            handler = self._registry.get(directive.kind)
             if handler is None:
                 status = ExecStatus.HANDLER_MISSING
                 self._theater_ids.append(directive.id)
@@ -221,6 +232,4 @@ class GovernanceKernel:
         else:
             status = ExecStatus.SKIPPED
         record = self._chain.append(directive, decision, status, digest)
-        return ExecutionOutcome(
-            decision=decision, exec_status=status, result=result, record=record, error=error
-        )
+        return ExecutionOutcome(record=record, result=result, error=error)

@@ -36,7 +36,7 @@ import re
 from binascii import unhexlify
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from .decisions import _DECISION_BY_WIRE, Decision, decision_from_obj
 from .directives import (
@@ -139,8 +139,9 @@ def record_line(record: ProvenanceRecord) -> bytes:
 
 
 # Width of the line's ',"this_hash":"<64 hex>"}' tail. Cutting it and
-# restoring the closing brace gives back the hashed body; that is only
-# sound once this_hash is known to be HASH_SIZE bytes.
+# restoring the closing brace gives back the hashed body; every way into a
+# chain (append, and import's recognizer and full parse) holds this_hash
+# and result_digest to HASH_SIZE bytes.
 _TAIL_SIZE = len(b',"this_hash":""}') + 2 * HASH_SIZE
 
 
@@ -155,8 +156,6 @@ def _first_bad_index(records, lines) -> Optional[int]:
         if (
             record.seq != index
             or record.prev_hash != prev
-            or len(record.result_digest) != HASH_SIZE
-            or len(record.this_hash) != HASH_SIZE
             or _link_hash(prev, line) != record.this_hash
         ):
             return index
@@ -168,7 +167,7 @@ class Chain:
     """Append-only sequence of provenance records.
 
     Every construction path establishes validity (a new chain is empty;
-    from_records and import_chain verify) and records are immutable, so
+    import_chain verifies) and records are immutable, so
     an invalid chain is unreachable through this API and append stays
     O(1). There is deliberately no operation that removes or reorders
     records.
@@ -179,12 +178,6 @@ class Chain:
     def __init__(self):
         self._records: list[ProvenanceRecord] = []
         self._lines: list[bytes] = []
-
-    @classmethod
-    def from_records(cls, records: Iterable[ProvenanceRecord]) -> "Chain":
-        """Adopt existing records, refusing any that fail verification."""
-        records = list(records)
-        return cls._adopt(records, [record_line(record) for record in records])
 
     @classmethod
     def _adopt(cls, records: list, lines: list) -> "Chain":

@@ -33,7 +33,6 @@ from typing import Any, Callable, Mapping
 
 from .directives import Phase, Scalar, TrustLevel
 from .kernel import GovernanceKernel
-from .provenance import Chain
 
 Value = Any
 
@@ -110,14 +109,14 @@ def iterate(body: Workflow, items_fn) -> Iterate:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final value plus the provenance the run produced.
+    """Final value plus how many submissions the run made.
 
-    directives_issued counts this run's submissions; it equals the chain
-    length whenever the kernel started with a fresh chain.
+    The provenance the run produced is the tail of ``kernel.chain``:
+    directives_issued records, all of it when the kernel started with a
+    fresh chain.
     """
 
     output: Value
-    chain: Chain
     directives_issued: int
 
 
@@ -166,6 +165,4 @@ def run(
     """Evaluate the tree; every Emit leaf becomes exactly one submission."""
     before = len(kernel.chain)
     output = _eval(workflow, value, kernel, trust, check_determinism)
-    return RunResult(
-        output=output, chain=kernel.chain, directives_issued=len(kernel.chain) - before
-    )
+    return RunResult(output=output, directives_issued=len(kernel.chain) - before)

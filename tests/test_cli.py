@@ -93,12 +93,18 @@ def test_verify_chain_from_run(tmp_path, capsys):
 def test_verify_hand_edited_record(tmp_path, capsys):
     out = tmp_path / "chain.jsonl"
     run_cli(capsys, "run", "--scenario", SCENARIO, "--policy", POLICY_EMAIL_DB, "--out", str(out))
-    lines = out.read_bytes().split(b"\n")
-    lines[1] = lines[1].replace(b'"web.browse"', b'"web.search"', 1)
-    out.write_bytes(b"\n".join(lines))
-    code, stdout, _ = run_cli(capsys, "verify", str(out))
-    assert code == 1
-    assert json.loads(stdout) == {"valid": False, "first_bad_index": 1}
+    original = out.read_bytes().split(b"\n")
+    # A changed kind, and a denial relabelled allow: no decision pairs
+    # allow with no_capability, so that record is a finding too.
+    edits = [(b'"web.browse"', b'"web.search"'), (b'"verdict":"deny"', b'"verdict":"allow"')]
+    for old, new in edits:
+        lines = list(original)
+        assert old in lines[1]
+        lines[1] = lines[1].replace(old, new, 1)
+        out.write_bytes(b"\n".join(lines))
+        code, stdout, _ = run_cli(capsys, "verify", str(out))
+        assert code == 1
+        assert json.loads(stdout) == {"valid": False, "first_bad_index": 1}
 
 
 def test_verify_empty_file_is_valid(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, seed, settings, strategies as st
 from effectgov import DirectiveError, Phase, TrustLevel, seeded_world
 from effectgov.directives import (
     EFFECT_KIND_GRAMMAR,
-    Directive,
     canonical_value_bytes,
     make_directive,
     parse_directive,
@@ -195,9 +194,12 @@ def test_bad_ids_rejected(bad_id):
 
 
 def test_required_capability_must_match_kind():
+    directive = d(kind="a.b")
+    assert directive.required_capability == "a.b"
+    obj = json.loads(directive.canonical)
+    obj["required_capability"] = "a.c"
     with pytest.raises(DirectiveError, match="required_capability"):
-        Directive(id=1, kind="a.b", params={}, issuer="s", trust=TrustLevel.AGENT,
-                  required_capability="a.c", phase=Phase.EXECUTE)
+        parse_directive(json.dumps(obj))
 
 
 def test_parse_rejects_extra_and_missing_fields():

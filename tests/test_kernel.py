@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effectgov import (
+    Chain,
     DecisionReason,
     EMPTY_POLICY,
     ExecStatus,
@@ -19,12 +20,14 @@ from effectgov import (
     TrustLevel,
     Verdict,
     decide,
+    import_chain,
     seeded_world,
     standard_registry,
 )
 from effectgov.analysis import enumerate_directive_space
-from effectgov.decisions import Decision
+from effectgov.decisions import DENY_NO_CAPABILITY, Decision, decision_from_obj
 from effectgov.directives import make_directive
+from effectgov.provenance import ZERO_DIGEST
 
 from support import fresh_kernel, random_policy, valid_params_for
 
@@ -86,10 +89,17 @@ def test_decide_examples():
 
 
 def test_decision_allow_iff_granted():
-    with pytest.raises(ValueError, match="inconsistent"):
-        Decision(Verdict.ALLOW, DecisionReason.NO_CAPABILITY)
-    with pytest.raises(ValueError, match="inconsistent"):
-        Decision(Verdict.DENY, DecisionReason.GRANTED)
+    assert [(decision.verdict, decision.reason) for decision in Decision] == [
+        (Verdict.ALLOW, DecisionReason.GRANTED),
+        (Verdict.DENY, DecisionReason.NO_CAPABILITY),
+        (Verdict.DENY, DecisionReason.INSUFFICIENT_TRUST),
+        (Verdict.DENY, DecisionReason.PHASE_VIOLATION),
+    ]
+    for decision in Decision:
+        assert (decision.verdict is Verdict.ALLOW) == (decision.reason is DecisionReason.GRANTED)
+    for verdict, reason in [("allow", "no_capability"), ("deny", "granted")]:
+        with pytest.raises(ValueError, match="verdict and reason"):
+            decision_from_obj({"verdict": verdict, "reason": reason})
 
 
 @given(
@@ -351,3 +361,20 @@ def test_submit_ids_strictly_increase_and_issue_continues():
     kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
                  TrustLevel.AGENT, Phase.EXECUTE)
     assert [record.directive.id for record in kernel.chain.records] == [1, 7, 8]
+
+
+def test_kernel_resumed_on_a_chain_continues_above_its_highest_id():
+    chain = Chain()
+    for id in (5, 9, 2):  # import_chain does not require ids to ascend
+        chain.append(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=id),
+                     DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+    kernel = GovernanceKernel(Policy.from_rules([email_rule()]), standard_registry(),
+                              seeded_world(), chain=import_chain(chain.export()))
+    for id in (2, 9):
+        with pytest.raises(ValueError, match="id"):
+            kernel.submit(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=id))
+    outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                           TrustLevel.AGENT, Phase.EXECUTE)
+    assert outcome.record.directive.id == 10
+    assert [record.directive.id for record in kernel.chain.records] == [5, 9, 2, 10]
+    assert kernel.chain.verify().valid

@@ -1,6 +1,5 @@
 """Chain linking, verification, tamper evidence and the JSONL format."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -26,7 +25,7 @@ from effectgov import (
 )
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
 from effectgov.directives import make_directive
-from effectgov.provenance import ProvenanceRecord, ZERO_DIGEST
+from effectgov.provenance import ZERO_DIGEST
 from effectgov.cli import main
 from effectgov import provenance as provenance_module
 
@@ -109,33 +108,6 @@ def test_kernel_chains_verify():
         assert build_chain(20, seed=seed).verify().valid
 
 
-def test_from_records_refuses_tampered_records():
-    chain = build_chain(10, seed=1)
-    records = list(chain.records)
-    bad = records[5]
-    records[5] = ProvenanceRecord(
-        seq=bad.seq,
-        directive=directive(999, params={"to": "evil@example.test", "body": "swap"}),
-        decision=bad.decision,
-        exec_status=bad.exec_status,
-        result_digest=bad.result_digest,
-        prev_hash=bad.prev_hash,
-        this_hash=bad.this_hash,
-    )
-    with pytest.raises(ChainIntegrityError) as excinfo:
-        Chain.from_records(records)
-    assert excinfo.value.index == 5
-
-
-@pytest.mark.parametrize("field", ["this_hash", "result_digest"])
-def test_from_records_refuses_short_digests(field):
-    records = list(build_chain(6, seed=2).records)
-    records[4] = dataclasses.replace(records[4], **{field: getattr(records[4], field)[:31]})
-    with pytest.raises(ChainIntegrityError) as excinfo:
-        Chain.from_records(records)
-    assert excinfo.value.index == 4
-
-
 def test_import_renders_each_record_once_and_verify_renders_none(monkeypatch):
     chain = build_chain(12, seed=6)
     blob = chain.export()
@@ -190,11 +162,22 @@ def test_export_import_roundtrip():
 
 def test_import_reports_index_of_edited_record():
     chain = build_chain(6, seed=3)
-    lines = chain.export().split(b"\n")[:-1]
-    lines[3] = lines[3].replace(b'"seq":3', b'"seq":4')
-    with pytest.raises(ChainIntegrityError) as excinfo:
-        import_chain(b"".join(line + b"\n" for line in lines))
-    assert excinfo.value.index == 3
+    original = chain.export().split(b"\n")[:-1]
+    record = chain.records[3]
+    # A changed seq, and each digest one byte short.
+    edits = [(b'"seq":3', b'"seq":4')] + [
+        (b'"%s":"%s"' % (name, digest.hex().encode()),
+         b'"%s":"%s"' % (name, digest[:-1].hex().encode()))
+        for name, digest in [(b"result_digest", record.result_digest),
+                             (b"this_hash", record.this_hash)]
+    ]
+    for old, new in edits:
+        lines = list(original)
+        assert old in lines[3]
+        lines[3] = lines[3].replace(old, new)
+        with pytest.raises(ChainIntegrityError) as excinfo:
+            import_chain(b"".join(line + b"\n" for line in lines))
+        assert excinfo.value.index == 3
 
 
 def test_import_truncated_line_reports_line_number():
