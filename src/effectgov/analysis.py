@@ -24,7 +24,7 @@ import numpy as np
 from .directives import Directive, Phase, TrustLevel, check_count, make_directive
 from .policy import Policy, policy_capabilities
 
-# Cap on geometric draws (one per trial) held at once; at 8 bytes each a
+# Cap on exponential draws (one per trial) held at once; at 8 bytes each a
 # chunk stays under ~100 MB whatever the number of actions per trial.
 _CHUNK_BUDGET = 10_000_000
 
@@ -103,27 +103,43 @@ def gap_probability(coverage: float, actions: int) -> float:
 def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> float:
     """Empirical gap frequency; the Monte Carlo check on gap_probability.
 
-    Each trial draws the index of its first unmonitored action, G ~
-    Geometric(1 - coverage) on {1, 2, ...}, and counts as breached when
-    G <= actions. Since P(G <= n) = 1 - coverage**n, this has exactly the
-    law of `actions` independent Bernoulli(coverage) events with at least
-    one miss, at one draw per trial whatever `actions` is. The draw uses
-    only `coverage`, never gap_probability. Deterministic for a given seed
-    (PCG64, one geometric draw per trial in trial order).
+    Each trial draws one standard exponential E and counts as breached when
+    E / (-log coverage) <= actions, i.e. E <= actions * (-log coverage).
+    The quotient is the continuous index of the trial's first unmonitored
+    action, and P(breach) = 1 - coverage**actions: exactly the law of
+    `actions` independent Bernoulli(coverage) events with at least one
+    miss, at one draw per trial whatever `actions` is. The draw uses only
+    `coverage`, never gap_probability. Deterministic for a given seed
+    (PCG64, one exponential draw per trial in trial order). For coverage >
+    2/3 numpy's Generator.geometric(1 - coverage) is the ceiling of the
+    same quotient over the same draws, so every seeded frequency equals the
+    earlier geometric draw's; for coverage <= 2/3, where numpy draws
+    geometrics by search, seeded frequencies differ from it.
     """
     coverage = _validate_coverage(coverage)
     actions = check_count(actions, "actions", 0)
     trials = check_count(trials, "trials", 1)
     if actions == 0 or coverage == 1.0:
         return 0.0
-    rng = np.random.Generator(np.random.PCG64(seed))
     miss = 1.0 - coverage
+    if miss == 1.0:
+        return 1.0
+    scale = -math.log1p(-miss)
+    # A double x is <= actions exactly when it is <= the largest double at
+    # most actions. No draw reaches 2**63, and a larger int overflows float.
+    limit = float(min(actions, 2**63))
+    if limit > actions:
+        limit = math.nextafter(limit, 0.0)
+    rng = np.random.Generator(np.random.PCG64(seed))
     breached = 0
     remaining = trials
     while remaining > 0:
         count = min(_CHUNK_BUDGET, remaining)
-        first_miss = rng.geometric(miss, count)
-        breached += int(np.count_nonzero(first_miss <= actions))
+        # Divide, not multiply by a reciprocal: the quotient rounds as
+        # numpy's geometric inversion rounds it.
+        first_miss = rng.standard_exponential(count)
+        first_miss /= scale
+        breached += int(np.count_nonzero(first_miss <= limit))
         remaining -= count
     return breached / trials
 

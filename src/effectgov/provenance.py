@@ -30,6 +30,7 @@ line bytes, as ``Chain.verify`` does.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -325,7 +326,7 @@ _PLAIN = r'[^"\\\x00-\x1f]*'
 _STRING = r'"%s(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))%s)*"' % (_PLAIN, _PLAIN)
 _PAIR = r"%s:(?:%s|%s|true|false)" % (_STRING, _STRING, _INTEGER)
 _HEX = r"[0-9a-f]{64}"
-_LINE = re.compile(
+_LINE_PATTERN = (
     (
         r'\{"seq":(?P<seq>%(nat)s),"directive":(?P<directive>\{"id":(?P<id>%(nat)s),'
         r'"issuer":(?P<issuer>(?!"")%(str)s),"kind":"(?P<kind>%(kind)s)",'
@@ -346,7 +347,14 @@ _LINE = re.compile(
             "hex": _HEX,
         }
     ).encode("ascii")
-).fullmatch
+)
+
+
+# Compiled on the first import_chain, not at import: compiling takes a few
+# ms, which processes that never import a chain would pay for nothing.
+@functools.cache
+def _line_matcher():
+    return re.compile(_LINE_PATTERN).fullmatch
 
 
 def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
@@ -359,7 +367,7 @@ def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
     params keys out of order or repeated, bad UTF-8, or any spelling the
     grammar lacks); the caller then parses it in full and names the fault.
     """
-    match = _LINE(raw)
+    match = _line_matcher()(raw)
     if match is None:
         return None
     seq, canonical, id_, issuer, kind, params, phase, trust, decision, status, *digests = (

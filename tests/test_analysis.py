@@ -159,6 +159,11 @@ def test_simulate_monitor_edges():
     assert simulate_monitor(0.5, 0, 1000, seed=1) == 0.0
     # The smallest miss probability a float allows: a valid count, no error.
     assert simulate_monitor(math.nextafter(1.0, 0.0), 100, 1000, seed=1) == 0.0
+    # Coverage so small that 1 - coverage rounds to 1: certain breach, and
+    # no log of zero.
+    assert simulate_monitor(1e-300, 3, 1000, seed=1) == 1.0
+    # More actions than a float can hold: every trial is breached.
+    assert simulate_monitor(0.99, 10**400, 1000, seed=1) == 1.0
 
 
 def test_simulate_monitor_deterministic_for_seed():
@@ -174,9 +179,9 @@ def test_simulate_monitor_chunks_hold_at_most_the_budget(monkeypatch):
     sizes = []
 
     class SpyGenerator(np.random.Generator):
-        def geometric(self, p, size=None):
+        def standard_exponential(self, size=None, *args, **kwargs):
             sizes.append(size)
-            return super().geometric(p, size)
+            return super().standard_exponential(size, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "_CHUNK_BUDGET", 3_000)
     monkeypatch.setattr(analysis.np.random, "Generator", SpyGenerator)
@@ -189,11 +194,58 @@ def test_simulate_monitor_chunks_hold_at_most_the_budget(monkeypatch):
     assert sizes == [3_000, 2_000]
 
 
+def _geometric_is_exponential_inversion() -> bool:
+    """Whether numpy draws Geometric(p), p < 1/3, as ceil(E / -log1p(-p))."""
+    for miss in (0.1, 0.01, 0.001, 0.3, 0.333, 1e-9):
+        geometric = np.random.Generator(np.random.PCG64(7)).geometric(miss, 200_000)
+        exponential = np.random.Generator(np.random.PCG64(7)).standard_exponential(200_000)
+        if not np.array_equal(geometric, np.ceil(exponential / -math.log1p(-miss))):
+            return False
+    return True
+
+
+def test_simulate_monitor_equals_the_geometric_count_for_every_seed():
+    # Oracle: the breach count of one Geometric(1 - coverage) first-miss
+    # index per trial, drawn from the same seed. The exponential threshold
+    # gives this count exactly wherever numpy's geometric is the inversion
+    # of that exponential (coverage > 2/3).
+    if not _geometric_is_exponential_inversion():
+        pytest.skip("this numpy's Generator.geometric is not the exponential inversion")
+    cells = [(c, n) for c in (0.9, 0.99, 0.999) for n in (10, 100, 1000)] + [(0.97, 40)]
+    for coverage, actions in cells:
+        trials = 1_000_000 // actions
+        for seed in (0, 1, 42, 2026, 2**63 - 1):
+            first_miss = np.random.Generator(np.random.PCG64(seed)).geometric(1 - coverage, trials)
+            expected = int(np.count_nonzero(first_miss <= actions)) / trials
+            assert simulate_monitor(coverage, actions, trials, seed) == expected, (
+                coverage, actions, seed)
+    # Coverages that put a seed's first draw within one rounding of an
+    # integer count of actions, where multiplying by 1 / scale instead of
+    # dividing by scale would give the other verdict.
+    for coverage, actions, seed in [(0.8362412164755296, 6, 1), (0.9576364655312826, 3, 2)]:
+        first_miss = np.random.Generator(np.random.PCG64(seed)).geometric(1 - coverage, 1)
+        assert simulate_monitor(coverage, actions, 1, seed) == float(first_miss[0] <= actions)
+    # Past 2**53 not every count is a double. Seeds whose one draw lands on
+    # an integer g with g - 1 not a double: g - 1 actions must not round up
+    # onto the draw, and g actions must include it.
+    coverage = math.nextafter(1.0, 0.0)
+    cases = 0
+    for seed in range(50):
+        g = int(np.random.Generator(np.random.PCG64(seed)).geometric(1 - coverage, 1)[0])
+        if float(g - 1) > g - 1:
+            assert simulate_monitor(coverage, g - 1, 1, seed) == 0.0, seed
+            assert simulate_monitor(coverage, g, 1, seed) == 1.0, seed
+            cases += 1
+    assert cases > 0
+    # The call the README documents.
+    assert simulate_monitor(0.99, 100, 100_000, seed=42) == 0.63338
+
+
 def test_simulate_monitor_matches_analytic_within_4_sigma():
     trials = 100_000
     # (0.99999, 100_000) is the large-n regime; (0.5, 3) has miss
-    # probability >= 1/3, where numpy draws geometrics by search rather
-    # than by inversion.
+    # probability >= 1/3, where the frequency differs from a geometric
+    # draw's (numpy draws those by search) but the law is the same.
     for coverage, actions in [(0.99, 100), (0.99999, 100_000), (0.5, 3)]:
         analytic = gap_probability(coverage, actions)
         sigma = math.sqrt(analytic * (1 - analytic) / trials)
