@@ -97,7 +97,9 @@ def gap_probability(coverage: float, actions: int) -> float:
         return 1.0
     if coverage == 1.0:
         return 0.0
-    return -math.expm1(actions * math.log(coverage))
+    # Capped like simulate_monitor's limit: an int past the float range would
+    # overflow, and from 2**63 on every coverage below 1 gives 1.0.
+    return -math.expm1(min(actions, 2**63) * math.log(coverage))
 
 
 def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> float:

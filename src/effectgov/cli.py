@@ -34,10 +34,6 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _read_file(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _emit(obj: dict, human: bool, human_lines) -> None:
     if human:
         for line in human_lines(obj):
@@ -48,7 +44,7 @@ def _emit(obj: dict, human: bool, human_lines) -> None:
 
 def _cmd_run(args) -> int:
     try:
-        scenario = load_scenario(_read_file(args.scenario))
+        scenario = load_scenario(Path(args.scenario).read_bytes())
     except (OSError, ScenarioError) as exc:
         return _fail(f"scenario {args.scenario}: {exc}")
     policy_path = args.policy
@@ -57,7 +53,7 @@ def _cmd_run(args) -> int:
             return _fail("no policy: pass --policy or set 'policy' in the scenario")
         policy_path = str((Path(args.scenario).parent / scenario.policy_ref).resolve())
     try:
-        policy = load_policy(_read_file(policy_path))
+        policy = load_policy(Path(policy_path).read_bytes())
     except (OSError, PolicyError) as exc:
         return _fail(f"policy {policy_path}: {exc}")
 
@@ -115,7 +111,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        data = _read_file(args.chain)
+        data = Path(args.chain).read_bytes()
     except OSError as exc:
         return _fail(f"chain {args.chain}: {exc}")
     try:
@@ -133,7 +129,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_regions(args) -> int:
     try:
-        manifest = load_json(_read_file(args.capabilities))
+        manifest = load_json(Path(args.capabilities).read_bytes())
         check_fields(manifest, {"capabilities"}, set(), "manifest", ValueError)
         capabilities = manifest["capabilities"]
         if not isinstance(capabilities, list) or not all(
@@ -143,7 +139,7 @@ def _cmd_regions(args) -> int:
     except (OSError, *JSON_ERRORS) as exc:
         return _fail(f"capability manifest {args.capabilities}: {exc}")
     try:
-        policy = load_policy(_read_file(args.policy))
+        policy = load_policy(Path(args.policy).read_bytes())
     except (OSError, PolicyError) as exc:
         return _fail(f"policy {args.policy}: {exc}")
 

@@ -27,12 +27,13 @@ Scalar = Union[str, int, bool]
 
 MAX_DIRECTIVE_ID = 2**64 - 1
 
-_KIND_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
-
 # Grammar for effect kinds. validate_kind accepts with it and, on
-# rejection, names the offending character.
+# rejection, searches for the first fault: a character outside the
+# alphabet, or a '.' that starts, doubles or ends a segment. \Z, because $
+# would also match before a trailing newline.
 EFFECT_KIND_GRAMMAR = r"[a-z0-9_]+(\.[a-z0-9_]+)*"
 _kind_fullmatch = re.compile(EFFECT_KIND_GRAMMAR).fullmatch
+_KIND_FAULT = r"[^a-z0-9_.]|(?<![a-z0-9_])\.|\.\Z"
 
 
 class DirectiveError(ValueError):
@@ -52,16 +53,6 @@ class TrustLevel(IntEnum):
         return self.name.lower()
 
 
-_TRUST_BY_WIRE = {level.wire_name: level for level in TrustLevel}
-
-
-def trust_from_wire(name: str) -> TrustLevel:
-    try:
-        return _TRUST_BY_WIRE[name]
-    except (KeyError, TypeError):
-        raise DirectiveError(f"unknown trust level {name!r}") from None
-
-
 class Phase(Enum):
     """Lifecycle stage a directive declares; policies constrain it."""
 
@@ -70,14 +61,20 @@ class Phase(Enum):
     FINALIZE = "finalize"
 
 
-_PHASE_BY_WIRE = {phase.value: phase for phase in Phase}
+def _wire_reader(members: dict, what: str):
+    """Reader of an enum's wire name; raises DirectiveError for any other value."""
+
+    def from_wire(name):
+        try:
+            return members[name]
+        except (KeyError, TypeError):
+            raise DirectiveError(f"unknown {what} {name!r}") from None
+
+    return from_wire
 
 
-def phase_from_wire(name: str) -> Phase:
-    try:
-        return _PHASE_BY_WIRE[name]
-    except (KeyError, TypeError):
-        raise DirectiveError(f"unknown phase {name!r}") from None
+trust_from_wire = _wire_reader({level.wire_name: level for level in TrustLevel}, "trust level")
+phase_from_wire = _wire_reader({phase.value: phase for phase in Phase}, "phase")
 
 
 def validate_kind(kind: str) -> str:
@@ -92,18 +89,11 @@ def validate_kind(kind: str) -> str:
         return kind
     if kind == "":
         raise DirectiveError("effect kind must not be empty")
-    prev = "."
-    for index, char in enumerate(kind):
-        if char == ".":
-            if prev == ".":
-                raise DirectiveError(f"effect kind {kind!r}: misplaced '.' at index {index}")
-        elif char not in _KIND_CHARS:
-            raise DirectiveError(
-                f"effect kind {kind!r}: invalid character {char!r} at index {index}"
-            )
-        prev = char
-    # The grammar rejected the kind, so only a trailing '.' is left.
-    raise DirectiveError(f"effect kind {kind!r}: misplaced '.' at index {len(kind) - 1}")
+    fault = re.search(_KIND_FAULT, kind)
+    index, char = fault.start(), fault.group()
+    if char == ".":
+        raise DirectiveError(f"effect kind {kind!r}: misplaced '.' at index {index}")
+    raise DirectiveError(f"effect kind {kind!r}: invalid character {char!r} at index {index}")
 
 
 # Everything json.loads raises on hostile input: bad UTF-8, bad JSON and an
@@ -323,16 +313,13 @@ _DIRECTIVE_KEYS = frozenset(
 def directive_from_obj(obj) -> Directive:
     """Rebuild a directive from a parsed JSON object; strict about shape."""
     check_fields(obj, _DIRECTIVE_KEYS, set(), "directive", DirectiveError)
-    params = obj["params"]
-    if not isinstance(params, dict):
-        raise DirectiveError("directive params must be a JSON object")
     kind, required = obj["kind"], obj["required_capability"]
     if required != kind:
         raise DirectiveError(f"required_capability {required!r} must equal kind {kind!r}")
     return Directive(
         id=obj["id"],
         kind=kind,
-        params=params,
+        params=obj["params"],
         issuer=obj["issuer"],
         trust=trust_from_wire(obj["trust"]),
         phase=phase_from_wire(obj["phase"]),

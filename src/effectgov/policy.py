@@ -29,8 +29,6 @@ from .directives import (
     validate_kind,
 )
 
-_PHASE_ORDER = (Phase.PLAN, Phase.EXECUTE, Phase.FINALIZE)
-
 
 class PolicyError(ValueError):
     """A policy document or rule failed validation."""
@@ -79,10 +77,11 @@ class Policy:
 
     @classmethod
     def from_rules(cls, rules: Iterable[PolicyRule]) -> "Policy":
+        """Policy of the rules; names the position of a repeated capability."""
         by_capability: dict[str, PolicyRule] = {}
-        for rule in rules:
+        for index, rule in enumerate(rules):
             if rule.capability in by_capability:
-                raise PolicyError(f"duplicate capability {rule.capability!r}")
+                raise PolicyError(f"rules[{index}]: duplicate capability {rule.capability!r}")
             by_capability[rule.capability] = rule
         return cls(rules=by_capability)
 
@@ -106,6 +105,25 @@ def narrow(outer: Iterable[str], inner: Iterable[str]) -> frozenset[str]:
 _RULE_FIELDS = frozenset({"capability", "min_trust", "allowed_phases"})
 
 
+def _rule_from_entry(entry, where: str) -> PolicyRule:
+    check_fields(entry, _RULE_FIELDS, set(), where, PolicyError)
+    names = entry["allowed_phases"]
+    if not isinstance(names, list) or not names:
+        raise PolicyError(f"{where}: allowed_phases must be a non-empty list")
+    try:
+        phases = [phase_from_wire(name) for name in names]
+        rule = PolicyRule(
+            capability=entry["capability"],
+            min_trust=trust_from_wire(entry["min_trust"]),
+            allowed_phases=phases,
+        )
+    except ValueError as exc:
+        raise PolicyError(f"{where}: {exc}") from None
+    if len(rule.allowed_phases) != len(phases):
+        raise PolicyError(f"{where}: repeated phase in allowed_phases")
+    return rule
+
+
 def load_policy(document: bytes | str) -> Policy:
     """Parse and validate a policy document; errors carry rule positions."""
     try:
@@ -116,29 +134,10 @@ def load_policy(document: bytes | str) -> Policy:
     entries = obj["rules"]
     if not isinstance(entries, list):
         raise PolicyError("'rules' must be a list")
-
-    rules: dict[str, PolicyRule] = {}
-    for index, entry in enumerate(entries):
-        where = f"rules[{index}]"
-        check_fields(entry, _RULE_FIELDS, set(), where, PolicyError)
-        names = entry["allowed_phases"]
-        if not isinstance(names, list) or not names:
-            raise PolicyError(f"{where}: allowed_phases must be a non-empty list")
-        try:
-            phases = [phase_from_wire(name) for name in names]
-            rule = PolicyRule(
-                capability=entry["capability"],
-                min_trust=trust_from_wire(entry["min_trust"]),
-                allowed_phases=phases,
-            )
-        except ValueError as exc:
-            raise PolicyError(f"{where}: {exc}") from None
-        if len(rule.allowed_phases) != len(phases):
-            raise PolicyError(f"{where}: repeated phase in allowed_phases")
-        if rule.capability in rules:
-            raise PolicyError(f"{where}: duplicate capability {rule.capability!r}")
-        rules[rule.capability] = rule
-    return Policy(rules=rules)
+    # Lazy, so a duplicate is reported before any fault in a later rule.
+    return Policy.from_rules(
+        _rule_from_entry(entry, f"rules[{index}]") for index, entry in enumerate(entries)
+    )
 
 
 def serialize_policy(policy: Policy) -> bytes:
@@ -148,7 +147,7 @@ def serialize_policy(policy: Policy) -> bytes:
             "capability": rule.capability,
             "min_trust": rule.min_trust.wire_name,
             "allowed_phases": [
-                phase.value for phase in _PHASE_ORDER if phase in rule.allowed_phases
+                phase.value for phase in Phase if phase in rule.allowed_phases
             ],
         }
         for _, rule in sorted(policy.rules.items())

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .decisions import _DECISION_BY_WIRE, Decision, decision_from_obj
+from .decisions import Decision, decision_from_obj
 from .directives import (
     EFFECT_KIND_GRAMMAR,
     JSON_ERRORS,
@@ -250,19 +250,14 @@ _RECORD_KEYS = frozenset(
 
 
 def _digest_from_hex(value, index: int, name: str) -> bytes:
+    """Digest of a hex field; its spelling is left to the canonical compare."""
     try:
         digest = bytes.fromhex(value)
     except (TypeError, ValueError):
-        digest = None
-    if digest is not None and len(digest) == HASH_SIZE and digest.hex() == value:
-        return digest
-    if (
-        not isinstance(value, str)
-        or len(value) != 2 * HASH_SIZE
-        or value != value.lower()
-    ):
+        digest = b""
+    if len(digest) != HASH_SIZE:
         raise ChainIntegrityError(index, f"{name} is not 64 lowercase hex characters")
-    raise ChainIntegrityError(index, f"{name} is not hex")
+    return digest
 
 
 def _record_from_obj(obj, index: int) -> ProvenanceRecord:
@@ -312,7 +307,7 @@ def _parse_line(raw: bytes, index: int) -> ProvenanceRecord:
 _PHASES = {phase.value.encode(): phase for phase in Phase}
 _TRUSTS = {level.wire_name.encode(): level for level in TrustLevel}
 _STATUSES = {status.value.encode(): status for status in ExecStatus}
-_DECISIONS = {decision.wire.encode(): decision for decision in _DECISION_BY_WIRE.values()}
+_DECISIONS = {decision.wire.encode(): decision for decision in Decision}
 
 
 def _one_of(table) -> str:

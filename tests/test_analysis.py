@@ -134,6 +134,7 @@ def test_gap_probability_edges():
     assert gap_probability(0.7, 0) == 0.0
     assert gap_probability(0.0, 3) == 1.0
     assert gap_probability(0.0, 0) == 0.0
+    assert gap_probability(0.99, 10**400) == 1.0
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])

@@ -199,6 +199,17 @@ def test_simulate_monitor_trillion_actions(capsys):
     assert abs(report["empirical"] - report["analytic"]) < 0.02
 
 
+def test_simulate_monitor_actions_past_the_float_range(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "simulate-monitor", "--coverage", "0.99",
+        "--actions", str(10**400), "--trials", "10",
+    )
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["analytic"] == 1.0
+    assert report["empirical"] == 1.0
+
+
 def test_simulate_monitor_zero_trials_is_usage_error(capsys):
     code, _, stderr = run_cli(
         capsys, "simulate-monitor", "--coverage", "0.5", "--actions", "10", "--trials", "0"
@@ -219,6 +230,43 @@ def test_bench_writes_report(tmp_path, capsys):
     assert "context" not in report
     assert json.loads(out.read_text()) == report
     assert run_cli(capsys, "bench", "--context-size", "1")[0] == 2
+
+
+def test_bench_human_and_unwritable_report(tmp_path, capsys):
+    code, stdout, _ = run_cli(capsys, "bench", "--iters", "10", "--warmup", "2", "--human")
+    assert code == 0
+    assert stdout.startswith("governed median ")
+    assert "overhead ratio" in stdout
+    missing = tmp_path / "no_such_dir" / "report.json"
+    code, _, stderr = run_cli(
+        capsys, "bench", "--iters", "10", "--warmup", "2", "--out", str(missing)
+    )
+    assert code == 2
+    assert "cannot write report" in stderr
+
+
+def test_verify_missing_file_is_usage_error(tmp_path, capsys):
+    code, stdout, stderr = run_cli(capsys, "verify", str(tmp_path / "nope.jsonl"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("effectgov: chain ")
+    assert stderr.count("\n") == 1
+
+
+def test_run_human_reports_theater_hits(tmp_path, capsys):
+    # credit_card.scan is granted by the filter policy but has no handler.
+    scenario = tmp_path / "scan.json"
+    scenario.write_text(json.dumps({
+        "input": "",
+        "workflow": {"emit": {"name": "scan", "kind": "credit_card.scan", "params": {
+            "card": {"op": "const", "value": "4111"}}}},
+    }))
+    code, stdout, _ = run_cli(
+        capsys, "run", "--scenario", str(scenario), "--policy", POLICY_FILTER,
+        "--out", str(tmp_path / "chain.jsonl"), "--human",
+    )
+    assert code == 0
+    assert "theater configuration hit by directives [1]" in stdout
 
 
 def test_human_flags(capsys, tmp_path):

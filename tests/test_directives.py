@@ -71,6 +71,13 @@ def test_empty_kind_rejected():
         (".email", "'.' at index 0"),
         ("email.", "'.' at index 5"),
         ("email.s√end", "'√'"),
+        # Whole messages: the first fault, its character and its index.
+        ("a.\n", "effect kind 'a.\\n': invalid character '\\n' at index 2"),
+        ("a-.b", "effect kind 'a-.b': invalid character '-' at index 1"),
+        ("a.b.", "effect kind 'a.b.': misplaced '.' at index 3"),
+        ("a..b", "effect kind 'a..b': misplaced '.' at index 2"),
+        ("Email", "effect kind 'Email': invalid character 'E' at index 0"),
+        ("aé", "effect kind 'aé': invalid character 'é' at index 1"),
     ],
 )
 def test_malformed_kind_names_offending_character(kind, offender):
@@ -199,6 +206,14 @@ def test_required_capability_must_match_kind():
     obj = json.loads(directive.canonical)
     obj["required_capability"] = "a.c"
     with pytest.raises(DirectiveError, match="required_capability"):
+        parse_directive(json.dumps(obj))
+
+
+@pytest.mark.parametrize("params, shape", [([], "list"), ("x", "str"), (None, "NoneType")])
+def test_parse_rejects_params_that_are_not_an_object(params, shape):
+    obj = json.loads(d().canonical)
+    obj["params"] = params
+    with pytest.raises(DirectiveError, match=f"^params must be a mapping, got {shape}$"):
         parse_directive(json.dumps(obj))
 
 

@@ -176,3 +176,15 @@ def test_serialize_load_roundtrip(policy):
 def test_duplicate_rule_construction_rejected():
     with pytest.raises(PolicyError, match="duplicate"):
         Policy.from_rules([rule(), rule(min_trust=TrustLevel.SYSTEM)])
+
+
+def test_duplicate_is_reported_at_its_position_before_later_faults():
+    with pytest.raises(PolicyError, match=r"^rules\[1\]: duplicate capability 'email\.send'$"):
+        Policy.from_rules([rule(), rule(min_trust=TrustLevel.SYSTEM)])
+    document = json.dumps({"rules": [
+        {"capability": "email.send", "min_trust": "agent", "allowed_phases": ["execute"]},
+        {"capability": "email.send", "min_trust": "system", "allowed_phases": ["plan"]},
+        {"capability": "Bad", "min_trust": "root", "allowed_phases": []},
+    ]})
+    with pytest.raises(PolicyError, match=r"^rules\[1\]: duplicate capability 'email\.send'$"):
+        load_policy(document)
