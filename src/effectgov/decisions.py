@@ -22,7 +22,7 @@ class Decision(Enum):
 
     Allow pairs only with Granted, and no other pair exists, so an
     inconsistent decision cannot be built. ``wire`` is the decision's JSON
-    text in the chain line, key order fixed (verdict, reason).
+    bytes in the chain line, key order fixed (verdict, reason).
     """
 
     ALLOW_GRANTED = (Verdict.ALLOW, DecisionReason.GRANTED)
@@ -33,7 +33,7 @@ class Decision(Enum):
     def __init__(self, verdict: Verdict, reason: DecisionReason):
         self.verdict = verdict
         self.reason = reason
-        self.wire = '{"verdict":"%s","reason":"%s"}' % (verdict.value, reason.value)
+        self.wire = ('{"verdict":"%s","reason":"%s"}' % (verdict.value, reason.value)).encode()
 
 
 # Module globals, because decide() returns one per call and a global loads

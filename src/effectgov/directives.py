@@ -12,6 +12,12 @@ Directives with equal fields always produce identical bytes. These are the
 bytes ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
 ensure_ascii=False)`` gives; they are built here by one scalar renderer,
 ``_scalar_json``, and a fixed template for the directive's seven keys.
+
+A directive is built in one pass: ``Directive.__init__`` checks the fields
+in a fixed order (id, kind, issuer, trust, phase, params), renders the
+params and the canonical bytes, and stores every field once. The chain
+importer adopts fields it has proved canonical through
+``Directive._from_canonical``, which stores them the same way.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ class Phase(Enum):
     PLAN = "plan"
     EXECUTE = "execute"
     FINALIZE = "finalize"
+
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with ==; Enum's own hashes the name in Python, and decide()
+    # hashes the phase on every submission.
+    __hash__ = object.__hash__
 
 
 def _wire_reader(members: dict, what: str):
@@ -175,13 +186,15 @@ def _render_params(params) -> tuple[Mapping[str, Scalar], str]:
     Raises ValueError (not a DirectiveError) for an int past the int-string
     limit, which the caller reports as having no canonical encoding.
     """
-    if not isinstance(params, Mapping):
+    # A dict is by far the usual argument; isinstance against the Mapping
+    # ABC costs more than the rest of the check.
+    if type(params) is not dict and not isinstance(params, Mapping):
         raise DirectiveError(f"params must be a mapping, got {type(params).__name__}")
     items = []
     for key, value in params.items():
         if not isinstance(key, str):
             raise DirectiveError(f"param key must be a string, got {key!r}")
-        text = _scalar_json(value)
+        text = _encode_str(value) if type(value) is str else _scalar_json(value)
         if text is None:
             raise DirectiveError(
                 f"param {key!r} must be a string, integer or boolean, got {type(value).__name__}"
@@ -203,9 +216,28 @@ _CANONICAL_TEMPLATE = (
     '{"id":%d,"issuer":%s,"kind":"%s","params":%s,"phase":"%s",'
     '"required_capability":"%s","trust":"%s"}'
 )
+# Read without the Enum descriptors, which run Python on every access.
+_TRUST_WIRE = {level: level.wire_name for level in TrustLevel}
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
+def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) -> None:
+    """Fill a new directive's fields, in declaration order.
+
+    Every construction path sets them this way, so all directives share one
+    key table; filling ``__dict__`` directly would give each its own dict,
+    about twice the memory per directive.
+    """
+    _setattr(directive, "id", id)
+    _setattr(directive, "kind", kind)
+    _setattr(directive, "params", params)
+    _setattr(directive, "issuer", issuer)
+    _setattr(directive, "trust", trust)
+    _setattr(directive, "phase", phase)
+    _setattr(directive, "canonical", canonical)
+
+
+@dataclass(frozen=True, init=False)
 class Directive:
     """One intended effect, described as inert data.
 
@@ -222,39 +254,41 @@ class Directive:
     phase: Phase
     canonical: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.id, int) or isinstance(self.id, bool):
-            raise DirectiveError(f"directive id must be an integer, got {self.id!r}")
-        if not 0 <= self.id <= MAX_DIRECTIVE_ID:
-            raise DirectiveError(f"directive id {self.id} outside unsigned 64-bit range")
-        kind = self.kind
-        validate_kind(kind)
-        if not isinstance(self.issuer, str) or self.issuer == "":
+    def __init__(
+        self,
+        id: int,
+        kind: str,
+        params: Mapping[str, Scalar],
+        issuer: str,
+        trust: TrustLevel,
+        phase: Phase,
+    ):
+        # The fields are checked in this order, and the first fault found is
+        # the one raised: id, kind, issuer, trust, phase, then params.
+        if not isinstance(id, int) or isinstance(id, bool):
+            raise DirectiveError(f"directive id must be an integer, got {id!r}")
+        if not 0 <= id <= MAX_DIRECTIVE_ID:
+            raise DirectiveError(f"directive id {id} outside unsigned 64-bit range")
+        if type(kind) is not str or not _kind_fullmatch(kind):
+            validate_kind(kind)
+        if not isinstance(issuer, str) or issuer == "":
             raise DirectiveError("issuer must be a non-empty string")
-        if not isinstance(self.trust, TrustLevel):
-            raise DirectiveError(f"trust must be a TrustLevel, got {self.trust!r}")
-        if not isinstance(self.phase, Phase):
-            raise DirectiveError(f"phase must be a Phase, got {self.phase!r}")
+        if not isinstance(trust, TrustLevel):
+            raise DirectiveError(f"trust must be a TrustLevel, got {trust!r}")
+        if not isinstance(phase, Phase):
+            raise DirectiveError(f"phase must be a Phase, got {phase!r}")
         try:
-            params, params_json = _render_params(self.params)
-            encoded = (
+            params, params_json = _render_params(params)
+            canonical = (
                 _CANONICAL_TEMPLATE
-                % (
-                    self.id,
-                    _encode_str(self.issuer),
-                    kind,
-                    params_json,
-                    self.phase.value,
-                    kind,
-                    self.trust.wire_name,
-                )
+                % (id, _encode_str(issuer), kind, params_json, phase._value_, kind,
+                   _TRUST_WIRE[trust])
             ).encode("utf-8")
         except DirectiveError:
             raise
         except ValueError as exc:
             raise DirectiveError(f"directive has no canonical encoding: {exc}") from None
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "canonical", encoded)
+        _set_fields(self, id, kind, params, issuer, trust, phase, canonical)
 
     @property
     def required_capability(self) -> str:
@@ -281,15 +315,7 @@ class Directive:
         chain-line recognizer in ``provenance``, may use it.
         """
         directive = object.__new__(cls)
-        directive.__dict__.update(
-            id=id,
-            kind=kind,
-            params=MappingProxyType(params),
-            issuer=issuer,
-            trust=trust,
-            phase=phase,
-            canonical=canonical,
-        )
+        _set_fields(directive, id, kind, MappingProxyType(params), issuer, trust, phase, canonical)
         return directive
 
 
@@ -302,7 +328,7 @@ def make_directive(
     id: int,
 ) -> Directive:
     """Build a validated directive. No world interaction of any sort."""
-    return Directive(id=id, kind=kind, params=params, issuer=issuer, trust=trust, phase=phase)
+    return Directive(id, kind, params, issuer, trust, phase)
 
 
 _DIRECTIVE_KEYS = frozenset(

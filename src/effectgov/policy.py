@@ -94,14 +94,6 @@ def policy_capabilities(policy: Policy) -> frozenset[str]:
     return frozenset(policy.rules)
 
 
-def narrow(outer: Iterable[str], inner: Iterable[str]) -> frozenset[str]:
-    """Attenuate authority across a composition: set intersection.
-
-    The result never widens either side: narrow(a, b) <= a and <= b.
-    """
-    return frozenset(outer) & frozenset(inner)
-
-
 _RULE_FIELDS = frozenset({"capability", "min_trust", "allowed_phases"})
 
 

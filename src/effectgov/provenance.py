@@ -16,7 +16,10 @@ The line bytes are the canonical form of the record. The link digest is
 
 with the genesis record linking from 32 zero bytes. Hex is lowercase.
 Records embed the directive in its canonical encoding, so a chain line is
-bit-exact reproducible from the record's fields alone.
+bit-exact reproducible from the record's fields alone. ``Chain.append``
+builds the line as bytes in one formatting step: the directive's canonical
+bytes go in as they are, next to the decision's and status's precomputed
+wire bytes and the hex of the digests; nothing is decoded and re-encoded.
 
 ``import_chain`` reads each line with one compiled recognizer for that
 canonical line. A line it accepts is, by construction, the canonical line
@@ -34,7 +37,7 @@ import functools
 import hashlib
 import json
 import re
-from binascii import unhexlify
+from binascii import hexlify, unhexlify
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -63,6 +66,9 @@ class ExecStatus(Enum):
     HANDLER_MISSING = "handler_missing"  # allowed, but nothing provides the capability
     FAILED = "failed"  # handler ran and reported failure; no result
 
+    def __init__(self, value: str):
+        self._wire = value.encode()  # its text in the chain line, as bytes
+
 
 _STATUS_BY_WIRE = {status.value: status for status in ExecStatus}
 
@@ -83,7 +89,10 @@ class ChainIntegrityError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class ProvenanceRecord:
     seq: int
     directive: Directive
@@ -93,11 +102,38 @@ class ProvenanceRecord:
     prev_hash: bytes
     this_hash: bytes
 
+    def __init__(
+        self,
+        seq: int,
+        directive: Directive,
+        decision: Decision,
+        exec_status: ExecStatus,
+        result_digest: bytes,
+        prev_hash: bytes,
+        this_hash: bytes,
+    ):
+        # What the generated frozen __init__ does, without its lookup of
+        # object.__setattr__ for each field: append and import build one
+        # record per line.
+        _setattr(self, "seq", seq)
+        _setattr(self, "directive", directive)
+        _setattr(self, "decision", decision)
+        _setattr(self, "exec_status", exec_status)
+        _setattr(self, "result_digest", result_digest)
+        _setattr(self, "prev_hash", prev_hash)
+        _setattr(self, "this_hash", this_hash)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
     valid: bool
     first_bad_index: Optional[int] = None
+
+
+_BODY_TEMPLATE = (
+    b'{"seq":%d,"directive":%b,"decision":%b,"exec_status":"%b",'
+    b'"result_digest":"%b","prev_hash":"%b"}'
+)
 
 
 def _record_body(
@@ -108,22 +144,18 @@ def _record_body(
     result_digest: bytes,
     prev_hash: bytes,
 ) -> bytes:
-    return (
-        '{"seq":%d,"directive":%s,"decision":%s,"exec_status":"%s",'
-        '"result_digest":"%s","prev_hash":"%s"}'
-        % (
-            seq,
-            directive.canonical.decode("utf-8"),
-            decision.wire,
-            exec_status.value,
-            result_digest.hex(),
-            prev_hash.hex(),
-        )
-    ).encode("utf-8")
+    return _BODY_TEMPLATE % (
+        seq,
+        directive.canonical,
+        decision.wire,
+        exec_status._wire,
+        hexlify(result_digest),
+        hexlify(prev_hash),
+    )
 
 
 def _with_this_hash(body: bytes, this_hash: bytes) -> bytes:
-    return b'%s,"this_hash":"%s"}' % (body[:-1], this_hash.hex().encode("ascii"))
+    return b'%b,"this_hash":"%b"}' % (body[:-1], hexlify(this_hash))
 
 
 def record_line(record: ProvenanceRecord) -> bytes:
@@ -221,15 +253,7 @@ class Chain:
         prev = self.tip
         body = _record_body(seq, directive, decision, exec_status, result_digest, prev)
         this = hashlib.sha256(prev + body).digest()
-        record = ProvenanceRecord(
-            seq=seq,
-            directive=directive,
-            decision=decision,
-            exec_status=exec_status,
-            result_digest=result_digest,
-            prev_hash=prev,
-            this_hash=this,
-        )
+        record = ProvenanceRecord(seq, directive, decision, exec_status, result_digest, prev, this)
         self._records.append(record)
         self._lines.append(_with_this_hash(body, this))
         return record
@@ -306,8 +330,8 @@ def _parse_line(raw: bytes, index: int) -> ProvenanceRecord:
 # strictly checks the whole line's UTF-8.
 _PHASES = {phase.value.encode(): phase for phase in Phase}
 _TRUSTS = {level.wire_name.encode(): level for level in TrustLevel}
-_STATUSES = {status.value.encode(): status for status in ExecStatus}
-_DECISIONS = {decision.wire.encode(): decision for decision in Decision}
+_STATUSES = {status._wire: status for status in ExecStatus}
+_DECISIONS = {decision.wire: decision for decision in Decision}
 
 
 def _one_of(table) -> str:
@@ -388,15 +412,15 @@ def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
         return None
     result_digest, prev_hash, this_hash = map(unhexlify, digests)
     return ProvenanceRecord(
-        seq=seq,
-        directive=Directive._from_canonical(
+        seq,
+        Directive._from_canonical(
             canonical, id_, kind.decode("ascii"), values, issuer, _TRUSTS[trust], _PHASES[phase]
         ),
-        decision=_DECISIONS[decision],
-        exec_status=_STATUSES[status],
-        result_digest=result_digest,
-        prev_hash=prev_hash,
-        this_hash=this_hash,
+        _DECISIONS[decision],
+        _STATUSES[status],
+        result_digest,
+        prev_hash,
+        this_hash,
     )
 
 

@@ -120,18 +120,22 @@ class RunResult:
     directives_issued: int
 
 
-def _call(fn, value, check: bool, what: str):
+def _call(fn, value, check: bool, what: str, *names):
+    """fn(value); with check, evaluated twice and compared.
+
+    ``what % names`` labels the node in the error, formatted only then.
+    """
     out = fn(value)
     if check and fn(value) != out:
-        raise WorkflowError(f"{what} is not deterministic")
+        raise WorkflowError(f"{what % names} is not deterministic")
     return out
 
 
 def _eval(node: Workflow, value: Value, kernel, trust, check: bool) -> Value:
     if isinstance(node, PureStep):
-        return _call(node.fn, value, check, f"step {node.name!r}")
+        return _call(node.fn, value, check, "step %r", node.name)
     if isinstance(node, Emit):
-        params = _call(node.params_fn, value, check, f"emit {node.name!r} params")
+        params = _call(node.params_fn, value, check, "emit %r params", node.name)
         outcome = kernel.issue(node.kind, params, node.name, trust, node.phase)
         return outcome.result
     if isinstance(node, Seq):

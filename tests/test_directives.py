@@ -1,5 +1,6 @@
 """Directive construction, validation and canonical serialization."""
 
+import dataclasses
 import enum
 import json
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 from effectgov import DirectiveError, Phase, TrustLevel, seeded_world
 from effectgov.directives import (
     EFFECT_KIND_GRAMMAR,
+    Directive,
     canonical_value_bytes,
     make_directive,
     parse_directive,
@@ -198,6 +200,47 @@ def test_non_scalar_params_rejected(bad):
 def test_bad_ids_rejected(bad_id):
     with pytest.raises(DirectiveError):
         make_directive("a.b", {}, "s", TrustLevel.AGENT, Phase.EXECUTE, bad_id)
+
+
+# One fault per field, in the order the constructor checks the fields.
+FIELD_FAULTS = [
+    ("id", -1, "directive id -1 outside unsigned 64-bit range"),
+    ("kind", "Email", "effect kind 'Email': invalid character 'E' at index 0"),
+    ("issuer", "", "issuer must be a non-empty string"),
+    ("trust", 1, "trust must be a TrustLevel, got 1"),
+    ("phase", "plan", "phase must be a Phase, got 'plan'"),
+    ("params", {"b": 1.5, 1: "x"}, "param 'b' must be a string, integer or boolean, got float"),
+]
+
+
+@pytest.mark.parametrize("build", [make_directive, Directive])
+@pytest.mark.parametrize("first", range(len(FIELD_FAULTS)), ids=[f[0] for f in FIELD_FAULTS])
+def test_first_fault_in_field_order_is_reported(build, first):
+    fields = dict(id=1, kind="a.b", params={}, issuer="s", trust=TrustLevel.AGENT, phase=Phase.PLAN)
+    for name, bad, _ in FIELD_FAULTS[first:]:
+        fields[name] = bad
+    with pytest.raises(DirectiveError) as excinfo:
+        build(**fields)
+    assert str(excinfo.value) == FIELD_FAULTS[first][2]
+
+
+def test_repr_eq_and_hash_leave_out_the_canonical_bytes():
+    directive = d(kind="a.b", params={"z": 1, "a": "x"}, issuer="s")
+    assert repr(directive) == (
+        "Directive(id=1, kind='a.b', params=mappingproxy({'a': 'x', 'z': 1}), issuer='s', "
+        "trust=<TrustLevel.AGENT: 1>, phase=<Phase.EXECUTE: 'execute'>)"
+    )
+    # Equal fields, other bytes: the bytes take no part in ==.
+    twin = Directive._from_canonical(b"{}", 1, "a.b", {"a": "x", "z": 1}, "s",
+                                     TrustLevel.AGENT, Phase.EXECUTE)
+    assert twin == directive and twin.canonical != directive.canonical
+    assert directive != d(kind="a.b", params={"z": 2, "a": "x"}, issuer="s")
+    assert dataclasses.replace(directive, id=2) == d(kind="a.b", params={"a": "x", "z": 1},
+                                                     issuer="s", id=2)
+    with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+        hash(directive)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        directive.kind = "c.d"
 
 
 def test_required_capability_must_match_kind():

@@ -1,4 +1,4 @@
-"""Policy rules, capability-set algebra and the policy file format."""
+"""Policy rules, capability lookup and the policy file format."""
 
 import json
 
@@ -14,7 +14,7 @@ from effectgov import (
     TrustLevel,
     load_policy,
 )
-from effectgov.policy import narrow, policy_capabilities, serialize_policy
+from effectgov.policy import policy_capabilities, serialize_policy
 
 
 def rule(capability="email.send", min_trust=TrustLevel.AGENT, phases=(Phase.EXECUTE,)):
@@ -45,28 +45,6 @@ def test_lookup_miss_is_none():
 
 def test_lookup_on_empty_policy():
     assert EMPTY_POLICY.rules.get("anything.at_all") is None
-
-
-def test_narrow_intersection():
-    assert narrow({"email.send", "db.query"}, {"db.query", "web.browse"}) == {"db.query"}
-
-
-def test_narrow_idempotent_and_annihilator():
-    caps = frozenset({"a.b", "c.d"})
-    assert narrow(caps, caps) == caps
-    assert narrow(caps, frozenset()) == frozenset()
-
-
-capsets = st.frozensets(st.sampled_from(["a.a", "b.b", "c.c", "d.d", "e.e"]), max_size=5)
-
-
-@given(capsets, capsets, capsets)
-@settings(max_examples=200)
-def test_narrow_laws(a, b, c):
-    assert narrow(a, b) == narrow(b, a)
-    assert narrow(narrow(a, b), c) == narrow(a, narrow(b, c))
-    assert narrow(a, a) == a
-    assert narrow(a, b) <= a
 
 
 def test_load_policy_two_rules():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -24,7 +25,7 @@ from effectgov import (
     import_chain,
 )
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
-from effectgov.directives import make_directive
+from effectgov.directives import directive_from_obj, make_directive
 from effectgov.provenance import ZERO_DIGEST
 from effectgov.cli import main
 from effectgov import provenance as provenance_module
@@ -70,6 +71,56 @@ def recompute_hash_independently(record):
     digest.update(record.prev_hash)
     digest.update(body)
     return digest.digest()
+
+
+DIRECTIVE_FIELDS = ("id", "kind", "params", "issuer", "trust", "phase", "canonical")
+RECORD_FIELDS = ("seq", "directive", "decision", "exec_status", "result_digest", "prev_hash",
+                 "this_hash")
+
+
+def bytes_per_object(build, fields):
+    """Traced bytes freed per object when the objects ``build()`` returns are
+    dropped while their field values stay referenced: the objects' own cost."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        objects = list(build())
+        kept = [[getattr(obj, name) for name in fields] for obj in objects]  # noqa: F841
+        count = len(objects)
+        before = tracemalloc.get_traced_memory()[0]
+        del objects
+        return (before - tracemalloc.get_traced_memory()[0]) / count
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def appended_chain(directives):
+    chain = Chain()
+    for made in directives:
+        chain.append(made, ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST)
+    return chain
+
+
+def test_every_construction_path_costs_the_same_memory():
+    # Filling an instance's __dict__ directly gives it a dict of its own,
+    # about twice the memory of the fields the constructor sets.
+    count = 1_000
+    made = [directive(i + 1) for i in range(count)]
+    blob = appended_chain(made).export()
+    objs = [json.loads(made_one.canonical) for made_one in made]
+    directives = {
+        "make_directive": lambda: [directive(i + 1) for i in range(count)],
+        "directive_from_obj": lambda: [directive_from_obj(obj) for obj in objs],
+        "import_chain": lambda: [record.directive for record in import_chain(blob).records],
+    }
+    records = {
+        "Chain.append": lambda: appended_chain(directive(i + 1) for i in range(count)).records,
+        "import_chain": lambda: import_chain(blob).records,
+    }
+    for paths, fields in ((directives, DIRECTIVE_FIELDS), (records, RECORD_FIELDS)):
+        costs = {path: bytes_per_object(build, fields) for path, build in paths.items()}
+        assert max(costs.values()) <= 1.03 * min(costs.values()), costs
 
 
 def test_genesis_record():

@@ -1,5 +1,6 @@
 """Workflow algebra: evaluation order, purity, compositionality."""
 
+import itertools
 import random
 
 import pytest
@@ -183,6 +184,32 @@ def test_double_evaluation_catches_nondeterminism():
     kernel = fresh_kernel(ALL_SIM)
     with pytest.raises(WorkflowError, match="deterministic"):
         run(wobbly, 0, kernel, check_determinism=True)
+
+
+def changing():
+    """A value function that returns a new value on every call."""
+    ticks = itertools.count()
+    return lambda value: next(ticks)
+
+
+@pytest.mark.parametrize(
+    "make_node, label",
+    [
+        (lambda: step("x", changing()), "step 'x'"),
+        (lambda: emit("y", "email.send", lambda value, tick=changing(): {"n": tick(value)}),
+         "emit 'y' params"),
+        (lambda: branch(lambda value, tick=changing(): tick(value) % 2 == 0,
+                        email_emit(), query_emit()), "branch predicate"),
+        (lambda: iterate(email_emit(), lambda value, tick=changing(): [tick(value)]),
+         "iterate items"),
+    ],
+)
+def test_determinism_error_names_its_node(make_node, label):
+    kernel = fresh_kernel(ALL_SIM)
+    with pytest.raises(WorkflowError) as excinfo:
+        run(make_node(), 0, kernel, check_determinism=True)
+    assert str(excinfo.value) == f"{label} is not deterministic"
+    assert len(kernel.chain) == 0
 
 
 def test_deterministic_workflows_pass_the_check():
