@@ -350,12 +350,3 @@ def directive_from_obj(obj) -> Directive:
         trust=trust_from_wire(obj["trust"]),
         phase=phase_from_wire(obj["phase"]),
     )
-
-
-def parse_directive(data: bytes | str) -> Directive:
-    """Inverse of the canonical encoding: parse_directive(d.canonical) == d."""
-    try:
-        obj = load_json(data)
-    except JSON_ERRORS as exc:
-        raise DirectiveError(f"not valid JSON: {exc}") from None
-    return directive_from_obj(obj)

@@ -94,7 +94,10 @@ def decide(policy: Policy, directive: Directive) -> Decision:
     return ALLOW_GRANTED
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class ExecutionOutcome:
     """What one submission produced: its record, and the result if any.
 
@@ -105,6 +108,18 @@ class ExecutionOutcome:
     record: ProvenanceRecord
     result: Optional[Scalar]
     error: Optional[str] = None
+
+    def __init__(
+        self,
+        record: ProvenanceRecord,
+        result: Optional[Scalar],
+        error: Optional[str] = None,
+    ):
+        # The generated frozen __init__ looks up object.__setattr__ for each
+        # field; every submission builds one outcome.
+        _setattr(self, "record", record)
+        _setattr(self, "result", result)
+        _setattr(self, "error", error)
 
     @property
     def decision(self) -> Decision:

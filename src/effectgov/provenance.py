@@ -29,6 +29,13 @@ for comparison. A line it rejects is parsed in full (JSON, field checks,
 then a re-render compared with the line's bytes), which names the fault,
 so errors do not depend on the path. Links are then checked over the
 line bytes, as ``Chain.verify`` does.
+
+A chain stores its line bytes once: one buffer, every line with its
+trailing newline, which ``export`` returns and then shares with the chain.
+``import_chain`` adopts the caller's ``bytes`` as that buffer without
+splitting or copying it. Records stay built next to the buffer, because
+every reader of a chain reads its records, and decoding them again from the
+bytes would cost that reader the parse import already paid.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import functools
 import hashlib
 import json
 import re
+import threading
 from binascii import hexlify, unhexlify
 from dataclasses import dataclass
 from enum import Enum
@@ -155,7 +163,8 @@ def _record_body(
 
 
 def _with_this_hash(body: bytes, this_hash: bytes) -> bytes:
-    return b'%b,"this_hash":"%b"}' % (body[:-1], hexlify(this_hash))
+    """The chain line of a record body, with its newline."""
+    return b'%b,"this_hash":"%b"}\n' % (body[:-1], hexlify(this_hash))
 
 
 def record_line(record: ProvenanceRecord) -> bytes:
@@ -168,7 +177,7 @@ def record_line(record: ProvenanceRecord) -> bytes:
         record.result_digest,
         record.prev_hash,
     )
-    return _with_this_hash(body, record.this_hash)
+    return _with_this_hash(body, record.this_hash)[:-1]
 
 
 # Width of the line's ',"this_hash":"<64 hex>"}' tail. Cutting it and
@@ -178,21 +187,28 @@ def record_line(record: ProvenanceRecord) -> bytes:
 _TAIL_SIZE = len(b',"this_hash":""}') + 2 * HASH_SIZE
 
 
-def _link_hash(prev: bytes, line: bytes) -> bytes:
-    return hashlib.sha256(prev + line[:-_TAIL_SIZE] + b"}").digest()
+def _link_hash(prev: bytes, data: bytes, start: int, end: int) -> bytes:
+    """Link digest of the line ``data[start:end]``, hashed from the buffer."""
+    return hashlib.sha256(prev + data[start : end - _TAIL_SIZE] + b"}").digest()
 
 
-def _first_bad_index(records, lines) -> Optional[int]:
-    """Lowest index whose record breaks the chain, or None if all link."""
+def _first_bad_index(records, data, ends) -> Optional[int]:
+    """Lowest index whose record breaks the chain, or None if all link.
+
+    Record i's line is the bytes of ``data`` before the newline at offset
+    ``ends[i]`` and after the one at ``ends[i - 1]``.
+    """
     prev = ZERO_DIGEST
-    for index, (record, line) in enumerate(zip(records, lines)):
+    start = 0
+    for index, (record, end) in enumerate(zip(records, ends)):
         if (
             record.seq != index
             or record.prev_hash != prev
-            or _link_hash(prev, line) != record.this_hash
+            or _link_hash(prev, data, start, end) != record.this_hash
         ):
             return index
         prev = record.this_hash
+        start = end + 1
     return None
 
 
@@ -201,35 +217,49 @@ class Chain:
 
     Every construction path establishes validity (a new chain is empty;
     import_chain verifies) and records are immutable, so
-    an invalid chain is unreachable through this API and append stays
-    O(1). There is deliberately no operation that removes or reorders
+    an invalid chain is unreachable through this API and append re-checks
+    nothing. There is deliberately no operation that removes or reorders
     records.
+
+    The line bytes are stored once, in one buffer that is the export: every
+    line with its trailing newline, and the offset of each line's newline,
+    next to the records built from them. The buffer is a ``bytearray`` while
+    records are appended and immutable ``bytes`` once exported or imported:
+    ``import_chain`` adopts the caller's ``bytes``, ``export`` returns the
+    buffer and keeps it, and the next ``append`` copies it once.
     """
 
-    __slots__ = ("_records", "_lines")
+    __slots__ = ("_records", "_data", "_ends", "_lock")
 
     def __init__(self):
         self._records: list[ProvenanceRecord] = []
-        self._lines: list[bytes] = []
+        self._data: bytes | bytearray = b""
+        self._ends: list[int] = []
+        # Held while append grows the buffer and while export swaps it for
+        # its immutable copy: unheld, a swap could drop a line just added.
+        self._lock = threading.Lock()
 
     @classmethod
-    def _adopt(cls, records: list, lines: list) -> "Chain":
-        """Chain of records and their canonical lines, if they verify."""
-        index = _first_bad_index(records, lines)
+    def _adopt(cls, records: list, data: bytes, ends: list) -> "Chain":
+        """Chain of records over their canonical lines in ``data``, if they verify."""
+        index = _first_bad_index(records, data, ends)
         if index is not None:
             raise ChainIntegrityError(index, "hash chain does not verify")
         chain = cls()
         chain._records = records
-        chain._lines = lines
+        chain._data = data
+        chain._ends = ends
         return chain
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __eq__(self, other) -> bool:
+        # Each record's this_hash is a SHA-256 over its line, so equal
+        # records and equal bytes are the same condition.
         if not isinstance(other, Chain):
             return NotImplemented
-        return self._records == other._records
+        return self._data == other._data
 
     @property
     def records(self) -> tuple[ProvenanceRecord, ...]:
@@ -249,23 +279,40 @@ class Chain:
     ) -> ProvenanceRecord:
         if len(result_digest) != HASH_SIZE:
             raise ValueError(f"result digest must be {HASH_SIZE} bytes")
-        seq = len(self._records)
-        prev = self.tip
-        body = _record_body(seq, directive, decision, exec_status, result_digest, prev)
-        this = hashlib.sha256(prev + body).digest()
-        record = ProvenanceRecord(seq, directive, decision, exec_status, result_digest, prev, this)
-        self._records.append(record)
-        self._lines.append(_with_this_hash(body, this))
-        return record
+        with self._lock:
+            seq = len(self._records)
+            prev = self.tip
+            body = _record_body(seq, directive, decision, exec_status, result_digest, prev)
+            this = hashlib.sha256(prev + body).digest()
+            record = ProvenanceRecord(
+                seq, directive, decision, exec_status, result_digest, prev, this
+            )
+            data = self._data
+            if type(data) is bytes:  # empty, imported or exported: copy it once
+                data = self._data = bytearray(data)
+            data += _with_this_hash(body, this)
+            self._ends.append(len(data) - 1)
+            self._records.append(record)
+            return record
 
     def verify(self) -> VerificationReport:
         """Recheck every link over the stored lines; renders nothing."""
-        index = _first_bad_index(self._records, self._lines)
+        index = _first_bad_index(self._records, self._data, self._ends)
         return VerificationReport(valid=index is None, first_bad_index=index)
 
     def export(self) -> bytes:
-        """JSON Lines; the exact bytes that were hashed, one record per line."""
-        return b"".join(line + b"\n" for line in self._lines)
+        """JSON Lines; the exact bytes that were hashed, one record per line.
+
+        The chain keeps the returned bytes as its buffer, so it does not
+        hold a second copy of its export; the next ``append`` copies them
+        once. For a chain imported from ``bytes`` and not appended to since,
+        this is that same object.
+        """
+        with self._lock:
+            data = self._data
+            if type(data) is not bytes:
+                data = self._data = bytes(data)
+            return data
 
 
 _RECORD_KEYS = frozenset(
@@ -429,17 +476,31 @@ def import_chain(data: bytes) -> Chain:
 
     Raises ChainFormatError (with line number) for lines that are not
     valid JSON, and ChainIntegrityError (with record index) for records
-    that parse but are not canonical or do not verify.
+    that parse but are not canonical or do not verify. Every line is parsed
+    before any link is checked.
+
+    An exact ``bytes`` that ends in a newline becomes the chain's buffer
+    without a copy. Anything else is copied once, since the caller could
+    change a mutable buffer later; a ``str`` is encoded as UTF-8, and data
+    without a final newline gets one.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    elif type(data) is not bytes:
+        data = bytes(memoryview(data))  # bytes() alone would take an int as a size
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
     records = []
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    for position, raw in enumerate(lines):
+    ends = []
+    find = data.find
+    start = 0
+    while start < len(data):
+        end = find(b"\n", start)
+        raw = data[start:end]
         record = _recognize(raw)
         if record is None:
-            record = _parse_line(raw, position)
+            record = _parse_line(raw, len(records))
         records.append(record)
-    return Chain._adopt(records, lines)
+        ends.append(end)
+        start = end + 1
+    return Chain._adopt(records, data, ends)

@@ -1,5 +1,6 @@
 """Decision pipeline and the submit boundary."""
 
+import dataclasses
 import itertools
 import random
 import threading
@@ -27,6 +28,7 @@ from effectgov import (
 from effectgov.analysis import enumerate_directive_space
 from effectgov.decisions import DENY_NO_CAPABILITY, Decision, decision_from_obj
 from effectgov.directives import make_directive
+from effectgov.kernel import ExecutionOutcome
 from effectgov.provenance import ZERO_DIGEST
 
 from support import fresh_kernel, random_policy, valid_params_for
@@ -135,6 +137,22 @@ def test_submit_allowed_email():
     assert len(kernel.world.outbox) == 1
     assert len(kernel.chain) == 1
     assert kernel.chain.records[0].exec_status is ExecStatus.EXECUTED
+
+
+def test_execution_outcome_keeps_its_dataclass_behaviour():
+    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step1",
+                           TrustLevel.AGENT, Phase.EXECUTE)
+    record = outcome.record
+    assert repr(outcome) == f"ExecutionOutcome(record={record!r}, result='sent', error=None)"
+    assert outcome == ExecutionOutcome(record, "sent")
+    assert outcome == ExecutionOutcome(record=record, result="sent", error=None)
+    assert outcome != ExecutionOutcome(record, "sent", "boom")
+    failed = dataclasses.replace(outcome, result=None, error="boom")
+    assert (failed.record, failed.result, failed.error) == (record, None, "boom")
+    assert dataclasses.replace(failed, result="sent", error=None) == outcome
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.result = "other"
 
 
 def test_submit_denied_browse_leaves_world_unchanged():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import threading
 import tracemalloc
 
 import pytest
@@ -123,6 +124,30 @@ def test_every_construction_path_costs_the_same_memory():
         assert max(costs.values()) <= 1.03 * min(costs.values()), costs
 
 
+def retained_bytes(build) -> int:
+    """Traced bytes still held by what ``build()`` returns."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()  # noqa: F841
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_import_keeps_no_second_copy_of_the_lines():
+    # The imported chain's buffer is the caller's bytes, so beside its
+    # records it holds a list slot and a line offset per record, and no
+    # copy of any line.
+    blob = varied_chain(2_000, seed=20261018).export()
+    lines = blob.split(b"\n")[:-1]
+    alone = retained_bytes(lambda: [provenance_module._recognize(line) for line in lines])
+    imported = retained_bytes(lambda: import_chain(blob))
+    assert (imported - alone) / len(lines) <= 64, (imported, alone)
+
+
 def test_genesis_record():
     chain = Chain()
     record = chain.append(directive(1), ALLOW_GRANTED, ExecStatus.EXECUTED, b"\x11" * 32)
@@ -209,6 +234,75 @@ def test_export_import_roundtrip():
         again = import_chain(blob)
         assert again == chain
         assert again.export() == blob
+
+
+def test_chains_are_equal_exactly_when_their_bytes_are():
+    chain = build_chain(15, seed=7)
+    assert import_chain(chain.export()) == chain
+    assert import_chain(chain.export()) != build_chain(15, seed=8)
+    # Equal params dicts, other bytes: the chains differ.
+    flag, one = (appended_chain([directive(1, params={"urgent": value})]) for value in (True, 1))
+    assert flag.records[0].directive.params == one.records[0].directive.params
+    assert flag != one
+    assert import_chain(flag.export()) == flag and import_chain(one.export()) == one
+
+
+def test_import_adopts_exact_bytes_and_copies_anything_else():
+    blob = build_chain(8, seed=9).export()
+    assert import_chain(blob).export() is blob
+    assert import_chain(blob[:-1]).export() == blob  # no final newline
+    assert import_chain(blob.decode("utf-8")).export() == blob
+
+    for data in (bytearray(blob), memoryview(bytearray(blob))):
+        chain = import_chain(data)
+        data[:] = bytes(len(blob))  # the caller reuses its buffer
+        assert chain.verify().valid
+        assert chain.export() == blob
+
+    class Blob(bytes):
+        pass
+
+    assert type(import_chain(Blob(blob)).export()) is bytes
+    with pytest.raises(TypeError):
+        import_chain(len(blob))
+
+
+def test_appending_to_an_imported_chain_leaves_the_caller_bytes_alone():
+    blob = build_chain(8, seed=10).export()
+    copy = bytes(bytearray(blob))
+    kernel = GovernanceKernel(Policy.from_rules([]), HandlerRegistry(), None,
+                              chain=import_chain(blob))
+    kernel.issue("email.send", {"to": "a@b.c", "body": "x"}, "step",
+                 TrustLevel.AGENT, Phase.EXECUTE)
+    assert blob == copy
+    extended = kernel.chain.export()
+    assert extended.startswith(blob) and extended.count(b"\n") == 9
+    assert kernel.chain.verify().valid
+    assert import_chain(extended) == kernel.chain
+
+
+def test_export_racing_an_append_drops_no_line(monkeypatch):
+    # export swaps the growing buffer for its bytes. Here another thread
+    # exports while an append is between reading the buffer and extending
+    # it; the append must not extend a buffer the chain has let go of.
+    chain = appended_chain([directive(1)])
+    render = provenance_module._with_this_hash
+    exporters = []
+
+    def render_during_an_export(body, this_hash):
+        exporter = threading.Thread(target=chain.export)
+        exporter.start()
+        exporter.join(timeout=0.2)  # waits out the chain's lock, if it holds one
+        exporters.append(exporter)
+        return render(body, this_hash)
+
+    monkeypatch.setattr(provenance_module, "_with_this_hash", render_during_an_export)
+    chain.append(directive(2), ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST)
+    monkeypatch.undo()
+    exporters[0].join(timeout=10)
+    assert not exporters[0].is_alive()
+    assert chain.verify().valid
+    assert chain == appended_chain([directive(1), directive(2)])
 
 
 def test_import_reports_index_of_edited_record():
@@ -354,7 +448,8 @@ def import_by_full_parse(blob: bytes) -> Chain:
     """import_chain with every line parsed in full: the recognizer's oracle."""
     lines = blob.split(b"\n")[:-1]
     records = [provenance_module._parse_line(raw, index) for index, raw in enumerate(lines)]
-    return Chain._adopt(records, lines)
+    ends = [match.start() for match in re.finditer(b"\n", blob)]
+    return Chain._adopt(records, blob, ends)
 
 
 def assert_same_records(got, expected):
