@@ -1,4 +1,4 @@
-"""Latency benchmarks: governed submission against direct handler calls.
+"""Latency benchmarks: governed issue against direct handler calls.
 
 Methodology: a fixed workload of one email.send directive per iteration,
 timed per iteration on the monotonic clock after a warmup, percentiles by
@@ -120,7 +120,7 @@ def _invoke_direct(registry: HandlerRegistry, world: SimWorld, directive: Direct
 
 
 def bench_governed_vs_direct(iters: int = 50, warmup: int = 5) -> tuple[BenchReport, BenchReport]:
-    """Identical workloads, one through submit, one through the bypass."""
+    """Identical workloads, one through issue, one through the bypass."""
     registry = standard_registry()
     kernel = GovernanceKernel(_email_policy(), registry, seeded_world())
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .analysis import gap_probability, regions, simulate_monitor
 from .bench import REFERENCE_MEDIANS_MS, bench_governed_vs_direct
-from .decisions import Verdict
 from .directives import JSON_ERRORS, DirectiveError, check_fields, load_json
 from .kernel import GovernanceKernel
 from .policy import PolicyError, load_policy
@@ -74,17 +74,17 @@ def _cmd_run(args) -> int:
     if failure is not None:
         return _fail(f"{failure} ({len(kernel.chain)} records written to {args.out})")
 
-    records = kernel.chain.records
-    allows = sum(1 for record in records if record.decision.verdict is Verdict.ALLOW)
+    chain = kernel.chain
+    # A record is skipped exactly when it is denied, a chain rule.
+    statuses = Counter(record.exec_status for record in chain.records)
     summary = {
-        "records": len(records),
-        "allows": allows,
-        "denies": len(records) - allows,
-        "executed": sum(1 for r in records if r.exec_status is ExecStatus.EXECUTED),
-        "failed": sum(1 for r in records if r.exec_status is ExecStatus.FAILED),
-        "handler_missing": sum(
-            1 for r in records if r.exec_status is ExecStatus.HANDLER_MISSING
-        ),
+        "records": len(chain),
+        "tip": chain.tip.hex(),
+        "allows": len(chain) - statuses[ExecStatus.SKIPPED],
+        "denies": statuses[ExecStatus.SKIPPED],
+        "executed": statuses[ExecStatus.EXECUTED],
+        "failed": statuses[ExecStatus.FAILED],
+        "handler_missing": statuses[ExecStatus.HANDLER_MISSING],
         "theater_directive_ids": list(kernel.theater_directive_ids),
         "world": {
             "emails_sent": len(world.outbox),
@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
         )
         if s["theater_directive_ids"]:
             yield f"theater configuration hit by directives {s['theater_directive_ids']}"
-        yield f"chain written to {s['chain']}"
+        yield f"chain written to {s['chain']}, tip {s['tip']}"
 
     _emit(summary, args.human, lines)
     return EXIT_OK
@@ -122,8 +122,8 @@ def _cmd_verify(args) -> int:
         obj = {"valid": False, "first_bad_index": exc.index}
         _emit(obj, args.human, lambda s: [f"INVALID at record {s['first_bad_index']}"])
         return EXIT_FINDING
-    obj = {"valid": True, "records": len(chain)}
-    _emit(obj, args.human, lambda s: [f"valid chain, {s['records']} records"])
+    obj = {"valid": True, "records": len(chain), "tip": chain.tip.hex()}
+    _emit(obj, args.human, lambda s: [f"valid chain, {s['records']} records, tip {s['tip']}"])
     return EXIT_OK
 
 

@@ -1,15 +1,15 @@
 """The single governance boundary.
 
-Submission is the only path from a directive to a world mutation. It runs
-the syntactic decision pipeline (capability, then trust, then phase; the
-first failing check names the deny reason), executes allowed effects
-through a registered handler, and appends one provenance record per
-submission, denials included. There is no bypass: nothing else in this
-package can reach a handler.
+``GovernanceKernel.issue`` is the only path from a directive to a world
+mutation. It builds the directive, runs the syntactic decision pipeline
+(capability, then trust, then phase; the first failing check names the
+deny reason), executes allowed effects through a registered handler, and
+appends one provenance record per directive, denials included. There is
+no bypass: nothing else in this package can reach a handler.
 
-decide() is a pure function of (policy, directive). Submissions serialize
-the decide/execute/append triple under one lock, so chain order is a total
-order consistent with execution order.
+decide() is a pure function of (policy, directive). Each issue runs under
+one lock, so chain order is a total order consistent with execution order.
+The chain is the one account: ids and theater hits are read from it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .directives import (
 from .policy import Policy
 from .provenance import Chain, ExecStatus, ProvenanceRecord, ZERO_DIGEST
 
-# Module globals, because a submission takes one or two and a global loads
-# far faster than an Enum attribute.
+# Module globals, because an issue takes one or two and a global loads far
+# faster than an Enum attribute.
 _EXECUTED, _SKIPPED, _HANDLER_MISSING, _FAILED = ExecStatus
 
 
@@ -99,7 +99,7 @@ _setattr = object.__setattr__
 
 @dataclass(frozen=True, init=False)
 class ExecutionOutcome:
-    """What one submission produced: its record, and the result if any.
+    """What one issue produced: its record, and the result if any.
 
     The decision and exec status are read from the record; the chain keeps
     the result only as a digest and the handler's error not at all.
@@ -116,7 +116,7 @@ class ExecutionOutcome:
         error: Optional[str] = None,
     ):
         # The generated frozen __init__ looks up object.__setattr__ for each
-        # field; every submission builds one outcome.
+        # field; every issue builds one outcome.
         _setattr(self, "record", record)
         _setattr(self, "result", result)
         _setattr(self, "error", error)
@@ -147,9 +147,9 @@ class GovernanceKernel:
     """Boundary state: policy, handler registry, world, open chain.
 
     An Allow verdict whose capability has no handler is a theater
-    configuration: it is recorded (exec_status handler_missing), reported
-    to the caller as a denial-equivalent outcome, and flagged on the
-    kernel rather than raised, so region analysis can consume it as data.
+    configuration: it is recorded (exec_status handler_missing) and
+    reported to the caller as a denial-equivalent outcome rather than
+    raised, so region analysis can consume it as data.
     """
 
     def __init__(
@@ -164,9 +164,6 @@ class GovernanceKernel:
         self._world = world
         self._chain = chain if chain is not None else Chain()
         self._lock = threading.Lock()
-        # The highest id, not the last: an imported chain need not ascend.
-        self._last_id = max((record.directive.id for record in self._chain.records), default=0)
-        self._theater_ids: list[int] = []
 
     @property
     def policy(self) -> Policy:
@@ -186,8 +183,9 @@ class GovernanceKernel:
 
     @property
     def theater_directive_ids(self) -> tuple[int, ...]:
-        """Ids of directives that were allowed but had no handler."""
-        return tuple(self._theater_ids)
+        """Ids of directives that were allowed but had no handler, read from the chain."""
+        records = self._chain.records
+        return tuple(r.directive.id for r in records if r.exec_status is _HANDLER_MISSING)
 
     def issue(
         self,
@@ -197,58 +195,42 @@ class GovernanceKernel:
         trust: TrustLevel,
         phase: Phase,
     ) -> ExecutionOutcome:
-        """Build a directive with the next sequence id and submit it."""
-        with self._lock:
-            self._last_id += 1
-            directive = make_directive(kind, params, issuer, trust, phase, self._last_id)
-            return self._submit_locked(directive)
+        """Build a directive, decide it, execute it if allowed, and record it.
 
-    def submit(self, directive: Directive) -> ExecutionOutcome:
-        """Decide, execute if allowed, and record; atomic per directive.
-
-        Ids must be strictly increasing across submit and issue, and above
-        every id in a chain the kernel was given, so the (kind, id) journal
-        stays unambiguous; a later issue continues from the highest id.
+        Atomic per directive. Its id is one above the chain's ``last_id``, so
+        a resumed chain continues, and a directive never built uses no id.
         """
         with self._lock:
-            if directive.id <= self._last_id:
-                raise ValueError(
-                    f"directive id {directive.id} is not above the last id {self._last_id}"
-                )
-            self._last_id = directive.id
-            return self._submit_locked(directive)
-
-    def _submit_locked(self, directive: Directive) -> ExecutionOutcome:
-        decision = decide(self._policy, directive)
-        result: Optional[Scalar] = None
-        error: Optional[str] = None
-        digest = ZERO_DIGEST
-        if decision is ALLOW_GRANTED:
-            handler = self._registry.get(directive.kind)
-            if handler is None:
-                status = _HANDLER_MISSING
-                self._theater_ids.append(directive.id)
-            else:
-                try:
-                    result = handler(self._world, directive)
-                    if not isinstance(result, (str, int, bool)):
-                        raise HandlerError(
-                            f"handler returned non-scalar {type(result).__name__}"
-                        )
-                    digest = hashlib.sha256(canonical_value_bytes(result)).digest()
-                except Exception as exc:
-                    # Any handler fault, or a result with no canonical
-                    # encoding, still gets its one record: the world may
-                    # already have changed.
-                    status = _FAILED
-                    result = None
-                    if isinstance(exc, HandlerError):
-                        error = str(exc)
-                    else:
-                        error = f"{type(exc).__name__}: {exc}"
+            directive = make_directive(kind, params, issuer, trust, phase, self._chain.last_id + 1)
+            decision = decide(self._policy, directive)
+            result: Optional[Scalar] = None
+            error: Optional[str] = None
+            digest = ZERO_DIGEST
+            if decision is ALLOW_GRANTED:
+                handler = self._registry.get(directive.kind)
+                if handler is None:
+                    status = _HANDLER_MISSING
                 else:
-                    status = _EXECUTED
-        else:
-            status = _SKIPPED
-        record = self._chain.append(directive, decision, status, digest)
-        return ExecutionOutcome(record, result, error)
+                    try:
+                        result = handler(self._world, directive)
+                        if not isinstance(result, (str, int, bool)):
+                            raise HandlerError(
+                                f"handler returned non-scalar {type(result).__name__}"
+                            )
+                        digest = hashlib.sha256(canonical_value_bytes(result)).digest()
+                    except Exception as exc:
+                        # Any handler fault, or a result with no canonical
+                        # encoding, still gets its one record: the world may
+                        # already have changed.
+                        status = _FAILED
+                        result = None
+                        if isinstance(exc, HandlerError):
+                            error = str(exc)
+                        else:
+                            error = f"{type(exc).__name__}: {exc}"
+                    else:
+                        status = _EXECUTED
+            else:
+                status = _SKIPPED
+            record = self._chain.append(directive, decision, status, digest)
+            return ExecutionOutcome(record, result, error)

@@ -1,8 +1,8 @@
 """Hash-linked provenance chain, written by the boundary as it executes.
 
 The chain is not a reconstruction of what happened; appending a record is
-part of performing (or refusing) the effect. One record per submission,
-denials included.
+part of performing (or refusing) the effect. One record per issued
+directive, denials included.
 
 Wire format is JSON Lines, one record per line, keys in this fixed order::
 
@@ -27,8 +27,8 @@ of a valid record, so the record is built from the match: the line is not
 parsed as JSON, nor the directive rendered, nor the record rendered back
 for comparison. A line it rejects is parsed in full (JSON, field checks,
 then a re-render compared with the line's bytes), which names the fault,
-so errors do not depend on the path. Links are then checked over the
-line bytes, as ``Chain.verify`` does.
+so errors do not depend on the path. Links and the other ``Chain`` rules
+are then checked over the line bytes, as ``Chain.verify`` does.
 
 A chain stores its line bytes once: one buffer, every line with its
 trailing newline, which ``export`` returns and then shares with the chain.
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .decisions import Decision, decision_from_obj
+from .decisions import ALLOW_GRANTED, Decision, decision_from_obj
 from .directives import (
     EFFECT_KIND_GRAMMAR,
     JSON_ERRORS,
@@ -79,6 +79,7 @@ class ExecStatus(Enum):
 
 
 _STATUS_BY_WIRE = {status.value: status for status in ExecStatus}
+_SKIPPED = ExecStatus.SKIPPED
 
 
 class ChainFormatError(ValueError):
@@ -193,21 +194,25 @@ def _link_hash(prev: bytes, data: bytes, start: int, end: int) -> bytes:
 
 
 def _first_bad_index(records, data, ends) -> Optional[int]:
-    """Lowest index whose record breaks the chain, or None if all link.
+    """Lowest index whose record breaks a ``Chain`` rule, or None if none does.
 
     Record i's line is the bytes of ``data`` before the newline at offset
     ``ends[i]`` and after the one at ``ends[i - 1]``.
     """
     prev = ZERO_DIGEST
+    last_id = 0
     start = 0
     for index, (record, end) in enumerate(zip(records, ends)):
         if (
             record.seq != index
             or record.prev_hash != prev
+            or record.directive.id <= last_id
+            or (record.exec_status is _SKIPPED) is (record.decision is ALLOW_GRANTED)
             or _link_hash(prev, data, start, end) != record.this_hash
         ):
             return index
         prev = record.this_hash
+        last_id = record.directive.id
         start = end + 1
     return None
 
@@ -215,11 +220,13 @@ def _first_bad_index(records, data, ends) -> Optional[int]:
 class Chain:
     """Append-only sequence of provenance records.
 
-    Every construction path establishes validity (a new chain is empty;
-    import_chain verifies) and records are immutable, so
-    an invalid chain is unreachable through this API and append re-checks
-    nothing. There is deliberately no operation that removes or reorders
-    records.
+    Record i has seq i, links from record i - 1's this_hash, carries a
+    directive id above record i - 1's, and is skipped if and only if its
+    verdict is deny. Every construction path keeps these rules (a new chain
+    is empty, append refuses a record that breaks one, import_chain
+    verifies) and records are immutable, so an invalid chain is unreachable
+    through this API. There is deliberately no operation that removes or
+    reorders records.
 
     The line bytes are stored once, in one buffer that is the export: every
     line with its trailing newline, and the offset of each line's newline,
@@ -244,7 +251,7 @@ class Chain:
         """Chain of records over their canonical lines in ``data``, if they verify."""
         index = _first_bad_index(records, data, ends)
         if index is not None:
-            raise ChainIntegrityError(index, "hash chain does not verify")
+            raise ChainIntegrityError(index, "record breaks a chain rule (seq, link, id or status)")
         chain = cls()
         chain._records = records
         chain._data = data
@@ -270,6 +277,11 @@ class Chain:
         """Hash the next record must link from."""
         return self._records[-1].this_hash if self._records else ZERO_DIGEST
 
+    @property
+    def last_id(self) -> int:
+        """Directive id the next record must be above: the last record's, or 0."""
+        return self._records[-1].directive.id if self._records else 0
+
     def append(
         self,
         directive: Directive,
@@ -279,7 +291,12 @@ class Chain:
     ) -> ProvenanceRecord:
         if len(result_digest) != HASH_SIZE:
             raise ValueError(f"result digest must be {HASH_SIZE} bytes")
+        if (exec_status is _SKIPPED) is (decision is ALLOW_GRANTED):
+            raise ValueError("a record is skipped if and only if it is denied")
         with self._lock:
+            last_id = self.last_id
+            if directive.id <= last_id:
+                raise ValueError(f"directive id {directive.id} is not above the last id {last_id}")
             seq = len(self._records)
             prev = self.tip
             body = _record_body(seq, directive, decision, exec_status, result_digest, prev)

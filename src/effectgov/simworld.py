@@ -4,7 +4,7 @@ Every handler journals (effect kind, directive id) exactly once per
 invocation, reads included, so world history and provenance can be matched
 record for record. The world's own surface is read-only; mutation happens
 only inside the handlers wired by standard_registry(), and handlers are
-reachable only through a kernel's submit pipeline.
+reachable only through a kernel's issue pipeline.
 """
 
 from __future__ import annotations

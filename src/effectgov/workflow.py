@@ -4,7 +4,7 @@ Nothing in this module can reach a world or a handler. A workflow's only
 world-relevant output is the stream of directives its Emit leaves hand to
 the kernel; everything else is deterministic computation over plain
 values. Evaluation order is fixed (left to right, depth first) and
-directive ids are assigned at submission, which is what makes chains
+directive ids are assigned by kernel.issue, which is what makes chains
 concatenate under sequencing.
 
 Node semantics:
@@ -109,7 +109,7 @@ def iterate(body: Workflow, items_fn) -> Iterate:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final value plus how many submissions the run made.
+    """Final value plus how many directives the run issued.
 
     The provenance the run produced is the tail of ``kernel.chain``:
     directives_issued records, all of it when the kernel started with a
@@ -166,7 +166,7 @@ def run(
     trust: TrustLevel = TrustLevel.AGENT,
     check_determinism: bool = False,
 ) -> RunResult:
-    """Evaluate the tree; every Emit leaf becomes exactly one submission."""
+    """Evaluate the tree; every Emit leaf becomes exactly one kernel.issue."""
     before = len(kernel.chain)
     output = _eval(workflow, value, kernel, trust, check_determinism)
     return RunResult(output=output, directives_issued=len(kernel.chain) - before)

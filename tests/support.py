@@ -9,9 +9,13 @@ tests rely on.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 
 from effectgov import (
+    Chain,
+    ExecStatus,
     GovernanceKernel,
     Phase,
     Policy,
@@ -20,6 +24,9 @@ from effectgov import (
     seeded_world,
     standard_registry,
 )
+from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
+from effectgov.directives import make_directive
+from effectgov.provenance import ZERO_DIGEST
 from effectgov.simworld import SIM_CAPABILITIES
 from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq
 
@@ -124,3 +131,50 @@ def record_essence(record) -> tuple:
         record.exec_status,
         record.result_digest,
     )
+
+
+_SEQ = re.compile(rb'^\{"seq":[0-9]+,')
+_LINK_TAIL = re.compile(rb',"prev_hash":"[0-9a-f]{64}","this_hash":"[0-9a-f]{64}"\}$')
+
+
+def relink(lines) -> bytes:
+    """Chain bytes of edited lines, renumbered and re-hashed in their new order.
+
+    Each line gets seq = its index and the links of the provenance module's
+    formula, this_hash = SHA-256(prev_hash || line without this_hash), so
+    only the rules other than seq and linking can refuse the result.
+    """
+    prev = bytes(32)
+    out = []
+    for index, line in enumerate(lines):
+        line = _SEQ.sub(b'{"seq":%d,' % index, line, count=1)
+        body = _LINK_TAIL.sub(b',"prev_hash":"%s"}' % prev.hex().encode(), line, count=1)
+        this = hashlib.sha256(prev + body).digest()
+        out.append(body[:-1] + b',"this_hash":"%s"}\n' % this.hex().encode())
+        prev = this
+    return b"".join(out)
+
+
+def disagreeing_status_lines() -> list[bytes]:
+    """Chain lines no kernel writes, unlinked: a record's status against its decision.
+
+    Record 0 is denied but executed, record 1 allowed but skipped, and
+    record 2 allowed, handler_missing, with a result digest.
+    """
+    chain = Chain()
+    for id, decision, status, digest in (
+        (1, DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST),
+        (2, ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST),
+        (3, ALLOW_GRANTED, ExecStatus.HANDLER_MISSING, ZERO_DIGEST),
+    ):
+        directive = make_directive("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                                   TrustLevel.AGENT, Phase.EXECUTE, id)
+        chain.append(directive, decision, status, digest)
+    lines = chain.export().split(b"\n")[:-1]
+    edits = [(b'"exec_status":"skipped"', b'"exec_status":"executed"'),
+             (b'"exec_status":"executed"', b'"exec_status":"skipped"'),
+             (b'"result_digest":"%s"' % (b"0" * 64), b'"result_digest":"%s"' % (b"11" * 32))]
+    for index, (old, new) in enumerate(edits):
+        assert old in lines[index]
+        lines[index] = lines[index].replace(old, new, 1)
+    return lines

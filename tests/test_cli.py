@@ -12,6 +12,8 @@ from hypothesis import given, seed, settings, strategies as st
 from effectgov import bundled_path, cli, seeded_world
 from effectgov.cli import main
 
+from support import disagreeing_status_lines, relink
+
 
 SCENARIO = str(bundled_path("exfiltration_scenario.json"))
 POLICY_EMAIL_DB = str(bundled_path("policy_email_db.json"))
@@ -112,7 +114,64 @@ def test_verify_empty_file_is_valid(tmp_path, capsys):
     empty.write_bytes(b"")
     code, stdout, _ = run_cli(capsys, "verify", str(empty))
     assert code == 0
-    assert json.loads(stdout) == {"valid": True, "records": 0}
+    assert json.loads(stdout) == {"valid": True, "records": 0, "tip": "0" * 64}
+
+
+def test_run_summary_keeps_its_keys_under_both_bundled_policies(tmp_path, capsys):
+    # The counts come from one tally of exec statuses; skipped means denied.
+    expected = {
+        POLICY_EMAIL_DB: dict(allows=1, denies=1, executed=1, output=None,
+                              tip="579c710b647256a347c3d8acfb4ecf8183d876fe3889a111e12e8ba107c64232",
+                              world={"db_reads": 1, "emails_sent": 0, "urls_fetched": 0}),
+        POLICY_ALL: dict(allows=2, denies=0, executed=2, output="fetched",
+                         tip="b0309043b9e643211169b0c9896e4a5f73428f6b9d33deb2901d56267b62447a",
+                         world={"db_reads": 1, "emails_sent": 0, "urls_fetched": 1}),
+    }
+    out = tmp_path / "chain.jsonl"
+    for policy, values in expected.items():
+        code, stdout, _ = run_cli(
+            capsys, "run", "--scenario", SCENARIO, "--policy", policy, "--out", str(out)
+        )
+        assert code == 0
+        assert json.loads(stdout) == dict(
+            values, records=2, failed=0, handler_missing=0, theater_directive_ids=[],
+            chain=str(out),
+        )
+
+
+def test_run_and_verify_report_the_same_tip(tmp_path, capsys):
+    out = tmp_path / "chain.jsonl"
+    code, stdout, _ = run_cli(capsys, "run", "--scenario", SCENARIO, "--out", str(out))
+    assert code == 0
+    ran = json.loads(stdout)
+    code, stdout, _ = run_cli(capsys, "verify", str(out))
+    assert code == 0
+    assert json.loads(stdout) == {"valid": True, "records": ran["records"], "tip": ran["tip"]}
+    last = json.loads(out.read_bytes().splitlines()[-1])
+    assert ran["tip"] == last["this_hash"]
+
+
+def test_verify_tip_shows_a_dropped_last_line(tmp_path, capsys):
+    # Any prefix of a valid chain is valid; only its tip and count give it away.
+    out = tmp_path / "chain.jsonl"
+    run_cli(capsys, "run", "--scenario", SCENARIO, "--out", str(out))
+    prefix = tmp_path / "prefix.jsonl"
+    prefix.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:-1]))
+    reports = []
+    for path in (out, prefix):
+        code, stdout, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        reports.append(json.loads(stdout))
+    assert reports[1]["records"] == reports[0]["records"] - 1
+    assert reports[1]["tip"] != reports[0]["tip"]
+
+
+def test_verify_exec_status_against_the_decision_is_a_finding(tmp_path, capsys):
+    chain = tmp_path / "chain.jsonl"
+    chain.write_bytes(relink(disagreeing_status_lines()))
+    code, stdout, _ = run_cli(capsys, "verify", str(chain))
+    assert code == 1
+    assert json.loads(stdout) == {"valid": False, "first_bad_index": 0}
 
 
 def test_verify_garbage_is_usage_error(tmp_path, capsys):
@@ -267,6 +326,14 @@ def test_run_human_reports_theater_hits(tmp_path, capsys):
     )
     assert code == 0
     assert "theater configuration hit by directives [1]" in stdout
+    code, stdout, _ = run_cli(
+        capsys, "run", "--scenario", str(scenario), "--policy", POLICY_FILTER,
+        "--out", str(tmp_path / "chain.jsonl"),
+    )
+    summary = json.loads(stdout)
+    assert code == 0
+    assert (summary["allows"], summary["denies"], summary["handler_missing"]) == (1, 0, 1)
+    assert summary["theater_directive_ids"] == [1]
 
 
 def test_human_flags(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Decision pipeline and the submit boundary."""
+"""Decision pipeline and the issue boundary."""
 
 import dataclasses
 import itertools
@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from effectgov import (
     Chain,
+    ChainIntegrityError,
     DecisionReason,
+    DirectiveError,
     EMPTY_POLICY,
     ExecStatus,
     GovernanceKernel,
@@ -31,7 +33,7 @@ from effectgov.directives import make_directive
 from effectgov.kernel import ExecutionOutcome
 from effectgov.provenance import ZERO_DIGEST
 
-from support import fresh_kernel, random_policy, valid_params_for
+from support import fresh_kernel, random_policy, relink, valid_params_for
 
 
 def reference_decision(rule, directive):
@@ -367,32 +369,68 @@ def test_hostile_handlers_still_get_one_record_each():
     assert journal_ids == effected
 
 
-def test_submit_ids_strictly_increase_and_issue_continues():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
-    kernel.submit(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=1))
-    directive = directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=7)
-    kernel.submit(directive)
-    with pytest.raises(ValueError, match="id"):
-        kernel.submit(directive)
-    with pytest.raises(ValueError, match="id"):
-        kernel.submit(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=3))
-    kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
-                 TrustLevel.AGENT, Phase.EXECUTE)
-    assert [record.directive.id for record in kernel.chain.records] == [1, 7, 8]
-
-
 def test_kernel_resumed_on_a_chain_continues_above_its_highest_id():
     chain = Chain()
-    for id in (5, 9, 2):  # import_chain does not require ids to ascend
+    for id in (5, 9):
         chain.append(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=id),
                      DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+    resumed = import_chain(chain.export())
+    # Ids ascend as a chain rule: neither the last id nor one below it goes in.
+    exported = resumed.export()
+    for id in (9, 2):
+        with pytest.raises(ValueError, match=f"directive id {id} is not above the last id 9"):
+            resumed.append(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=id),
+                           DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+        assert len(resumed) == 2 and resumed.export() is exported
+    # Nor does an import: the same records with ids 5, 9, 2, re-linked.
+    lines = chain.export().split(b"\n")[:-1]
+    lines.append(lines[0].replace(b'{"id":5,', b'{"id":2,', 1))
+    with pytest.raises(ChainIntegrityError) as excinfo:
+        import_chain(relink(lines))
+    assert excinfo.value.index == 2
+    assert import_chain(relink(lines[:2])) == chain
+
     kernel = GovernanceKernel(Policy.from_rules([email_rule()]), standard_registry(),
-                              seeded_world(), chain=import_chain(chain.export()))
-    for id in (2, 9):
-        with pytest.raises(ValueError, match="id"):
-            kernel.submit(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=id))
+                              seeded_world(), chain=resumed)
     outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
                            TrustLevel.AGENT, Phase.EXECUTE)
     assert outcome.record.directive.id == 10
-    assert [record.directive.id for record in kernel.chain.records] == [5, 9, 2, 10]
+    assert [record.directive.id for record in kernel.chain.records] == [5, 9, 10]
     assert kernel.chain.verify().valid
+
+
+def test_an_issue_that_cannot_build_its_directive_uses_up_no_id():
+    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    with pytest.raises(DirectiveError):
+        kernel.issue("Not A Kind", {}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert len(kernel.chain) == 0
+    outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                           TrustLevel.AGENT, Phase.EXECUTE)
+    assert outcome.record.directive.id == 1
+
+
+def test_issue_continues_above_an_append_made_outside_the_kernel():
+    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel.chain.append(directive_for("web.browse", TrustLevel.AGENT, Phase.EXECUTE, id=50),
+                        DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+    outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                           TrustLevel.AGENT, Phase.EXECUTE)
+    assert outcome.record.directive.id == 51
+    assert kernel.chain.verify().valid
+
+
+def test_resumed_kernel_reports_the_imported_theater_hits():
+    policy = Policy.from_rules([
+        email_rule(),
+        PolicyRule(capability="ghost.cap", min_trust=TrustLevel.AGENT,
+                   allowed_phases=frozenset({Phase.EXECUTE})),
+    ])
+    first = fresh_kernel(policy)
+    for kind in ("ghost.cap", "email.send", "ghost.cap"):
+        first.issue(kind, {"to": "a@b.c", "body": "hi"}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert first.theater_directive_ids == (1, 3)
+    resumed = GovernanceKernel(policy, standard_registry(), seeded_world(),
+                               chain=import_chain(first.chain.export()))
+    assert resumed.theater_directive_ids == (1, 3)
+    resumed.issue("ghost.cap", {}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert resumed.theater_directive_ids == (1, 3, 4)

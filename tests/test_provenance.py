@@ -31,7 +31,7 @@ from effectgov.provenance import ZERO_DIGEST
 from effectgov.cli import main
 from effectgov import provenance as provenance_module
 
-from support import fresh_kernel, random_policy, valid_params_for
+from support import disagreeing_status_lines, fresh_kernel, random_policy, relink, valid_params_for
 
 
 def directive(i, kind="email.send", params=None):
@@ -182,6 +182,34 @@ def test_empty_chain_is_valid():
 def test_kernel_chains_verify():
     for seed in range(5):
         assert build_chain(20, seed=seed).verify().valid
+
+
+def test_last_id_is_the_last_records_directive_id():
+    chain = Chain()
+    assert chain.last_id == 0
+    chain.append(directive(7), ALLOW_GRANTED, ExecStatus.EXECUTED, b"\x11" * 32)
+    assert chain.last_id == 7
+    assert import_chain(chain.export()).last_id == 7
+    with pytest.raises(ValueError, match="directive id 0 is not above the last id 0"):
+        Chain().append(directive(0), ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST)
+
+
+def test_exec_status_must_agree_with_the_decision():
+    # Skipped if and only if denied: append refuses the two other pairings
+    # before it changes anything.
+    for decision, status in [(DENY_NO_CAPABILITY, ExecStatus.EXECUTED),
+                             (ALLOW_GRANTED, ExecStatus.SKIPPED)]:
+        chain = Chain()
+        with pytest.raises(ValueError, match="skipped if and only if it is denied"):
+            chain.append(directive(1), decision, status, ZERO_DIGEST)
+        assert len(chain) == 0 and chain.export() == b""
+    # Import refuses a re-linked chain of them at its first record: denied
+    # but executed, then, with that one gone, allowed but skipped.
+    lines = disagreeing_status_lines()
+    for start in (0, 1):
+        with pytest.raises(ChainIntegrityError) as excinfo:
+            import_chain(relink(lines[start:]))
+        assert excinfo.value.index == 0
 
 
 def test_import_renders_each_record_once_and_verify_renders_none(monkeypatch):
@@ -435,6 +463,59 @@ def test_seeded_kernel_chain_bytes_are_pinned(make_chain, digest):
     blob = make_chain(300, seed=20261018).export()
     assert hashlib.sha256(blob).hexdigest() == digest
     assert import_chain(blob).export() == blob
+
+
+def edit_lines(lines, rng):
+    """One seeded edit of a chain's lines: the edited lines, the edit's kind, and
+    the index it must be refused at or before (the deleted, inserted or cut
+    line, or the later of two swapped lines)."""
+    kind = rng.choice(["delete", "duplicate", "swap", "truncate"])
+    edited = list(lines)
+    if kind == "delete":
+        index = rng.randrange(len(lines))
+        del edited[index]
+    elif kind == "duplicate":
+        index = rng.randrange(len(lines)) + 1
+        edited.insert(index, lines[index - 1])
+    elif kind == "swap":
+        first, index = sorted(rng.sample(range(len(lines)), 2))
+        edited[first], edited[index] = lines[index], lines[first]
+    else:  # keep whole lines only, or cut the next one short
+        index = rng.randrange(len(lines))
+        cut = rng.randrange(len(lines[index]))
+        edited = lines[:index] + ([lines[index][:cut]] if cut else [])
+    return edited, kind, index
+
+
+def test_line_edits_fail_at_or_before_the_edit_or_move_the_tip():
+    # Deleted, duplicated, swapped and cut lines, as they stand and re-linked
+    # by someone who can recompute every hash: each edit is refused at or
+    # before the edited line, or verifies with another tip.
+    # Re-linked, only a deletion verifies: a duplicate or a swap puts an id
+    # at or below the one before it.
+    rng = random.Random(96_000_000)
+    pool = [make(12, seed=seed) for seed in range(4) for make in (build_chain, varied_chain)]
+    tallies = {"refused": 0, "new tip": 0}
+    for trial in range(1_000):
+        chain = rng.choice(pool)
+        edited, kind, index = edit_lines(chain.export().split(b"\n")[:-1], rng)
+        blobs = [b"".join(line + b"\n" for line in edited)]
+        if kind != "truncate":
+            blobs.append(relink(edited))
+        for relinked, blob in enumerate(blobs):
+            try:
+                imported = import_chain(blob)
+            except ChainFormatError as exc:
+                assert exc.line_number - 1 <= index, (trial, kind)
+                tallies["refused"] += 1
+            except ChainIntegrityError as exc:
+                assert exc.index <= index, (trial, kind)
+                tallies["refused"] += 1
+            else:
+                assert kind in ("delete", "truncate"), (trial, kind, relinked)
+                assert imported.tip != chain.tip and len(imported) < len(chain), (trial, kind)
+                tallies["new tip"] += 1
+    assert sum(tallies.values()) > 1_000 and min(tallies.values()) > 0, tallies
 
 
 def test_recognizer_takes_every_golden_line():

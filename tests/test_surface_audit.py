@@ -1,4 +1,4 @@
-"""No-bypass audit: the public surface offers no mutation path around submit."""
+"""No-bypass audit: the public surface offers no mutation path around issue."""
 
 import inspect
 import re
@@ -8,7 +8,7 @@ import effectgov
 from effectgov import bench as bench_module
 from effectgov import provenance as provenance_module
 from effectgov import simworld as simworld_module
-from effectgov import seeded_world
+from effectgov import GovernanceKernel, seeded_world
 
 
 def public_names(module):
@@ -52,6 +52,15 @@ def test_returned_views_do_not_alias_world_state():
     rows = world.table("sensitive")
     rows[0]["secret"] = "overwritten"
     assert world.snapshot_bytes() == reference
+
+
+def test_issue_is_the_kernels_only_way_in():
+    # Everything else on the kernel is a read-only property.
+    public_methods = [
+        name for name, member in inspect.getmembers(GovernanceKernel)
+        if not name.startswith("_") and callable(member)
+    ]
+    assert public_methods == ["issue"]
 
 
 def test_bench_bypass_is_not_public():
