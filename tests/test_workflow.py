@@ -1,5 +1,6 @@
 """Workflow algebra: evaluation order, purity, compositionality."""
 
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from effectgov import (
 
 from effectgov import branch, seeded_world
 from support import (
+    ALL_TRUST,
     fresh_kernel,
     random_input,
     random_policy,
@@ -247,3 +249,24 @@ def test_run_result_counts_match_chain_growth():
     second = run(query_emit(), "b", kernel)
     assert second.directives_issued == 1
     assert len(kernel.chain) == 2
+
+
+def test_seeded_workflows_keep_their_golden_digest():
+    # Pins evaluation semantics: outputs, directive counts, chain bytes and
+    # world state of 500 seeded runs, half of them with the determinism check.
+    digest = hashlib.sha256()
+    records = 0
+    for i in range(500):
+        rng = random.Random(f"workflow-golden:{i}")
+        policy = random_policy(rng)
+        workflow = random_workflow(rng)
+        value = random_input(rng)
+        trust = rng.choice(ALL_TRUST)
+        kernel = fresh_kernel(policy)
+        result = run(workflow, value, kernel, trust=trust, check_determinism=(i % 2 == 1))
+        records += len(kernel.chain)
+        digest.update(kernel.chain.export())
+        digest.update(repr((result.output, result.directives_issued)).encode())
+        digest.update(kernel.world.snapshot_bytes())
+    assert records == 1_031
+    assert digest.hexdigest() == "1a67e54c4025b054a3f4d818091ce289905f020c5cd51dc4a25035e294a32805"
