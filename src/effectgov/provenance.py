@@ -80,6 +80,7 @@ class ExecStatus(Enum):
 
 _STATUS_BY_WIRE = {status.value: status for status in ExecStatus}
 _SKIPPED = ExecStatus.SKIPPED
+_EXECUTED = ExecStatus.EXECUTED
 
 
 class ChainFormatError(ValueError):
@@ -208,6 +209,7 @@ def _first_bad_index(records, data, ends) -> Optional[int]:
             or record.prev_hash != prev
             or record.directive.id <= last_id
             or (record.exec_status is _SKIPPED) is (record.decision is ALLOW_GRANTED)
+            or (record.exec_status is not _EXECUTED and record.result_digest != ZERO_DIGEST)
             or _link_hash(prev, data, start, end) != record.this_hash
         ):
             return index
@@ -221,12 +223,12 @@ class Chain:
     """Append-only sequence of provenance records.
 
     Record i has seq i, links from record i - 1's this_hash, carries a
-    directive id above record i - 1's, and is skipped if and only if its
-    verdict is deny. Every construction path keeps these rules (a new chain
-    is empty, append refuses a record that breaks one, import_chain
-    verifies) and records are immutable, so an invalid chain is unreachable
-    through this API. There is deliberately no operation that removes or
-    reorders records.
+    directive id above record i - 1's, is skipped if and only if its
+    verdict is deny, and has a non-zero result digest only if executed.
+    Every construction path keeps these rules (a new chain is empty, append
+    refuses a record that breaks one, import_chain verifies) and records
+    are immutable, so an invalid chain is unreachable through this API.
+    There is deliberately no operation that removes or reorders records.
 
     The line bytes are stored once, in one buffer that is the export: every
     line with its trailing newline, and the offset of each line's newline,
@@ -251,7 +253,9 @@ class Chain:
         """Chain of records over their canonical lines in ``data``, if they verify."""
         index = _first_bad_index(records, data, ends)
         if index is not None:
-            raise ChainIntegrityError(index, "record breaks a chain rule (seq, link, id or status)")
+            raise ChainIntegrityError(
+                index, "record breaks a chain rule (seq, link, id, status or digest)"
+            )
         chain = cls()
         chain._records = records
         chain._data = data
@@ -293,6 +297,8 @@ class Chain:
             raise ValueError(f"result digest must be {HASH_SIZE} bytes")
         if (exec_status is _SKIPPED) is (decision is ALLOW_GRANTED):
             raise ValueError("a record is skipped if and only if it is denied")
+        if exec_status is not _EXECUTED and result_digest != ZERO_DIGEST:
+            raise ValueError("only an executed record carries a result digest")
         with self._lock:
             last_id = self.last_id
             if directive.id <= last_id:

@@ -7,15 +7,19 @@ values. Evaluation order is fixed (left to right, depth first) and
 directive ids are assigned by kernel.issue, which is what makes chains
 concatenate under sequencing.
 
-Node semantics:
+Each node class is the one definition of its node: it evaluates itself
+(_eval), checks its children when it is built, and is its own constructor
+(step, emit, branch and iterate are the classes). run checks the root the
+same way, so a malformed tree is refused before it issues anything. Node
+semantics:
 
 * PureStep(name, fn): output is fn(value).
-* Emit(name, kind, phase, params_fn): issues one directive with
+* Emit(name, kind, params_fn, phase=EXECUTE): issues one directive with
   parameters params_fn(value); output is the handler result when the
   directive executed, else None.
 * Seq(parts): feeds each part's output to the next part, in order.
-* Branch(predicate, then_arm, else_arm): predicate(value) picks the arm,
-  which receives the unchanged value.
+* Branch(predicate, then_arm, else_arm): predicate(value), which must be
+  True or False, picks the arm, which receives the unchanged value.
 * Iterate(body, items_fn): runs body once per item of items_fn(value),
   feeding each item to body; output is the last body output, or the
   unchanged input when the list is empty. Iteration is bounded by
@@ -38,7 +42,7 @@ Value = Any
 
 
 class WorkflowError(Exception):
-    """A workflow broke its evaluation contract at run time."""
+    """A workflow tree is malformed, or broke its evaluation contract."""
 
 
 class Workflow:
@@ -47,23 +51,58 @@ class Workflow:
     __slots__ = ()
 
 
+def _call(fn, value, check: bool, what: str, *names):
+    """fn(value); with check, evaluated twice and compared.
+
+    ``what % names`` labels the node in the error, formatted only then.
+    """
+    out = fn(value)
+    if check and fn(value) != out:
+        raise WorkflowError(f"{what % names} is not deterministic")
+    return out
+
+
+def _check_node(node) -> None:
+    if not isinstance(node, _NODES):
+        raise WorkflowError(f"unknown workflow node {type(node).__name__}")
+
+
 @dataclass(frozen=True)
 class PureStep(Workflow):
     name: str
     fn: Callable[[Value], Value]
+
+    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+        return _call(self.fn, value, check, "step %r", self.name)
 
 
 @dataclass(frozen=True)
 class Emit(Workflow):
     name: str
     kind: str
-    phase: Phase
     params_fn: Callable[[Value], Mapping[str, Scalar]]
+    phase: Phase = Phase.EXECUTE
+
+    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+        params = _call(self.params_fn, value, check, "emit %r params", self.name)
+        return kernel.issue(self.kind, params, self.name, trust, self.phase).result
 
 
 @dataclass(frozen=True)
 class Seq(Workflow):
     parts: tuple[Workflow, ...]
+
+    def __post_init__(self) -> None:
+        # A tuple of the parts as checked: a list the caller changes later,
+        # or a generator the check would use up, cannot change the tree.
+        object.__setattr__(self, "parts", tuple(self.parts))
+        for part in self.parts:
+            _check_node(part)
+
+    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+        for part in self.parts:
+            value = part._eval(value, kernel, trust, check)
+        return value
 
 
 @dataclass(frozen=True)
@@ -72,24 +111,39 @@ class Branch(Workflow):
     then_arm: Workflow
     else_arm: Workflow
 
+    def __post_init__(self) -> None:
+        _check_node(self.then_arm)
+        _check_node(self.else_arm)
+
+    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+        chosen = _call(self.predicate, value, check, "branch predicate")
+        if chosen is True:
+            return self.then_arm._eval(value, kernel, trust, check)
+        if chosen is False:
+            return self.else_arm._eval(value, kernel, trust, check)
+        raise WorkflowError(f"branch predicate returned non-bool {chosen!r}")
+
 
 @dataclass(frozen=True)
 class Iterate(Workflow):
     body: Workflow
     items_fn: Callable[[Value], list]
 
+    def __post_init__(self) -> None:
+        _check_node(self.body)
 
-def step(name: str, fn: Callable[[Value], Value]) -> PureStep:
-    return PureStep(name=name, fn=fn)
+    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+        items = _call(self.items_fn, value, check, "iterate items")
+        if not isinstance(items, (list, tuple)):
+            raise WorkflowError(f"iterate items must be a finite list, got {type(items).__name__}")
+        current = value
+        for item in items:
+            current = self.body._eval(item, kernel, trust, check)
+        return current
 
 
-def emit(
-    name: str,
-    kind: str,
-    params_fn: Callable[[Value], Mapping[str, Scalar]],
-    phase: Phase = Phase.EXECUTE,
-) -> Emit:
-    return Emit(name=name, kind=kind, phase=phase, params_fn=params_fn)
+_NODES = (PureStep, Emit, Seq, Branch, Iterate)
+step, emit, branch, iterate = PureStep, Emit, Branch, Iterate
 
 
 def seq(*parts: Workflow) -> Workflow:
@@ -97,14 +151,6 @@ def seq(*parts: Workflow) -> Workflow:
     if not parts:
         raise ValueError("seq needs at least one workflow")
     return parts[0] if len(parts) == 1 else Seq(parts)
-
-
-def branch(predicate, then_arm: Workflow, else_arm: Workflow) -> Branch:
-    return Branch(predicate=predicate, then_arm=then_arm, else_arm=else_arm)
-
-
-def iterate(body: Workflow, items_fn) -> Iterate:
-    return Iterate(body=body, items_fn=items_fn)
 
 
 @dataclass(frozen=True)
@@ -120,45 +166,6 @@ class RunResult:
     directives_issued: int
 
 
-def _call(fn, value, check: bool, what: str, *names):
-    """fn(value); with check, evaluated twice and compared.
-
-    ``what % names`` labels the node in the error, formatted only then.
-    """
-    out = fn(value)
-    if check and fn(value) != out:
-        raise WorkflowError(f"{what % names} is not deterministic")
-    return out
-
-
-def _eval(node: Workflow, value: Value, kernel, trust, check: bool) -> Value:
-    if isinstance(node, PureStep):
-        return _call(node.fn, value, check, "step %r", node.name)
-    if isinstance(node, Emit):
-        params = _call(node.params_fn, value, check, "emit %r params", node.name)
-        outcome = kernel.issue(node.kind, params, node.name, trust, node.phase)
-        return outcome.result
-    if isinstance(node, Seq):
-        for part in node.parts:
-            value = _eval(part, value, kernel, trust, check)
-        return value
-    if isinstance(node, Branch):
-        chosen = _call(node.predicate, value, check, "branch predicate")
-        if not isinstance(chosen, bool):
-            raise WorkflowError(f"branch predicate returned non-bool {chosen!r}")
-        arm = node.then_arm if chosen else node.else_arm
-        return _eval(arm, value, kernel, trust, check)
-    if isinstance(node, Iterate):
-        items = _call(node.items_fn, value, check, "iterate items")
-        if not isinstance(items, (list, tuple)):
-            raise WorkflowError(f"iterate items must be a finite list, got {type(items).__name__}")
-        current = value
-        for item in items:
-            current = _eval(node.body, item, kernel, trust, check)
-        return current
-    raise WorkflowError(f"unknown workflow node {type(node).__name__}")
-
-
 def run(
     workflow: Workflow,
     value: Value,
@@ -167,6 +174,7 @@ def run(
     check_determinism: bool = False,
 ) -> RunResult:
     """Evaluate the tree; every Emit leaf becomes exactly one kernel.issue."""
+    _check_node(workflow)
     before = len(kernel.chain)
-    output = _eval(workflow, value, kernel, trust, check_determinism)
+    output = workflow._eval(value, kernel, trust, check_determinism)
     return RunResult(output=output, directives_issued=len(kernel.chain) - before)

@@ -167,11 +167,14 @@ def test_verify_tip_shows_a_dropped_last_line(tmp_path, capsys):
 
 
 def test_verify_exec_status_against_the_decision_is_a_finding(tmp_path, capsys):
+    # All three records, then the last alone: allowed, handler_missing and
+    # with a result digest.
     chain = tmp_path / "chain.jsonl"
-    chain.write_bytes(relink(disagreeing_status_lines()))
-    code, stdout, _ = run_cli(capsys, "verify", str(chain))
-    assert code == 1
-    assert json.loads(stdout) == {"valid": False, "first_bad_index": 0}
+    for start in (0, 2):
+        chain.write_bytes(relink(disagreeing_status_lines()[start:]))
+        code, stdout, _ = run_cli(capsys, "verify", str(chain))
+        assert code == 1
+        assert json.loads(stdout) == {"valid": False, "first_bad_index": 0}
 
 
 def test_verify_garbage_is_usage_error(tmp_path, capsys):

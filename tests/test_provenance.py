@@ -195,18 +195,26 @@ def test_last_id_is_the_last_records_directive_id():
 
 
 def test_exec_status_must_agree_with_the_decision():
-    # Skipped if and only if denied: append refuses the two other pairings
-    # before it changes anything.
-    for decision, status in [(DENY_NO_CAPABILITY, ExecStatus.EXECUTED),
-                             (ALLOW_GRANTED, ExecStatus.SKIPPED)]:
+    # Skipped if and only if denied, and only an executed record carries a
+    # result digest: append refuses the other pairings before it changes
+    # anything.
+    skip_rule = "skipped if and only if it is denied"
+    digest_rule = "only an executed record carries a result digest"
+    for decision, status, digest, message in [
+        (DENY_NO_CAPABILITY, ExecStatus.EXECUTED, ZERO_DIGEST, skip_rule),
+        (ALLOW_GRANTED, ExecStatus.SKIPPED, ZERO_DIGEST, skip_rule),
+        (ALLOW_GRANTED, ExecStatus.HANDLER_MISSING, b"\x11" * 32, digest_rule),
+        (ALLOW_GRANTED, ExecStatus.FAILED, b"\x11" * 32, digest_rule),
+    ]:
         chain = Chain()
-        with pytest.raises(ValueError, match="skipped if and only if it is denied"):
-            chain.append(directive(1), decision, status, ZERO_DIGEST)
+        with pytest.raises(ValueError, match=message):
+            chain.append(directive(1), decision, status, digest)
         assert len(chain) == 0 and chain.export() == b""
     # Import refuses a re-linked chain of them at its first record: denied
-    # but executed, then, with that one gone, allowed but skipped.
+    # but executed, then, with that one gone, allowed but skipped, then
+    # allowed, handler_missing and with a result digest.
     lines = disagreeing_status_lines()
-    for start in (0, 1):
+    for start in (0, 1, 2):
         with pytest.raises(ChainIntegrityError) as excinfo:
             import_chain(relink(lines[start:]))
         assert excinfo.value.index == 0

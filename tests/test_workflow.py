@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import effectgov
 from effectgov import (
     DecisionReason,
     EMPTY_POLICY,
@@ -23,6 +24,7 @@ from effectgov import (
 )
 
 from effectgov import branch, seeded_world
+from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq, Workflow
 from support import (
     ALL_TRUST,
     fresh_kernel,
@@ -270,3 +272,53 @@ def test_seeded_workflows_keep_their_golden_digest():
         digest.update(kernel.world.snapshot_bytes())
     assert records == 1_031
     assert digest.hexdigest() == "1a67e54c4025b054a3f4d818091ce289905f020c5cd51dc4a25035e294a32805"
+
+
+@pytest.mark.parametrize(
+    "build, type_name",
+    [
+        (lambda: seq(email_emit(), "oops"), "str"),
+        (lambda: branch(lambda value: True, email_emit(), 3), "int"),
+        (lambda: branch(lambda value: True, 3, email_emit()), "int"),
+        (lambda: iterate(None, lambda value: [1]), "NoneType"),
+    ],
+)
+def test_a_malformed_tree_is_refused_when_built(build, type_name):
+    with pytest.raises(WorkflowError, match=f"unknown workflow node {type_name}$"):
+        build()
+
+
+def test_seq_holds_its_parts_as_built():
+    parts = [email_emit(), query_emit()]
+    from_list = Seq(parts)
+    parts.append("oops")
+    from_generator = Seq(part for part in parts[:2])
+    for workflow in (from_list, from_generator):
+        kernel = fresh_kernel(ALL_SIM)
+        assert run(workflow, "v", kernel).directives_issued == 2
+
+
+class BareNode(Workflow):
+    """Derives from the base class but is none of the five node types."""
+
+
+@pytest.mark.parametrize("root, type_name", [("oops", "str"), (BareNode(), "BareNode")])
+def test_run_refuses_a_root_that_is_not_a_node_before_any_effect(root, type_name):
+    kernel = fresh_kernel(ALL_SIM)
+    before = kernel.world.snapshot_bytes()
+    with pytest.raises(WorkflowError, match=f"unknown workflow node {type_name}$"):
+        run(root, "v", kernel)
+    assert len(kernel.chain) == 0
+    assert kernel.world.snapshot_bytes() == before
+
+
+def test_combinators_are_the_node_classes():
+    params_fn = lambda value: {"to": "a@b.c", "body": "hi"}
+    assert emit("send", "email.send", params_fn) == Emit(
+        name="send", kind="email.send", params_fn=params_fn, phase=Phase.EXECUTE
+    )
+    assert emit("send", "email.send", params_fn, Phase.PLAN).phase is Phase.PLAN
+    assert effectgov.step is PureStep
+    assert effectgov.emit is Emit
+    assert effectgov.branch is Branch
+    assert effectgov.iterate is Iterate
