@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .directives import Directive, Phase, TrustLevel, check_count, make_directive
-from .policy import Policy, policy_capabilities
+from .policy import Policy
 
 # Cap on exponential draws (one per trial) held at once; at 8 bytes each a
 # chunk stays under ~100 MB whatever the number of actions per trial.
@@ -54,7 +54,7 @@ class RegionReport:
 def regions(expressiveness: Iterable[str], policy: Policy) -> RegionReport:
     """Partition capability space by the expressiveness/policy overlap."""
     expressible = frozenset(expressiveness)
-    covered = policy_capabilities(policy)
+    covered = frozenset(policy.rules)
     return RegionReport(
         governed=expressible & covered,
         ungoverned=expressible - covered,

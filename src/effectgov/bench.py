@@ -102,7 +102,7 @@ def _make_report(scenario: str, iterations: int, warmup: int, samples_ns: list[i
 
 
 def _email_policy() -> Policy:
-    return Policy.from_rules(
+    return Policy(
         [
             PolicyRule(
                 capability=EMAIL_SEND,

@@ -51,10 +51,12 @@ def _cmd_run(args) -> int:
     if policy_path is None:
         if scenario.policy_ref is None:
             return _fail("no policy: pass --policy or set 'policy' in the scenario")
-        policy_path = str((Path(args.scenario).parent / scenario.policy_ref).resolve())
+        policy_path = Path(args.scenario).parent / scenario.policy_ref
     try:
-        policy = load_policy(Path(policy_path).read_bytes())
-    except (OSError, PolicyError) as exc:
+        # A NUL in the path raises ValueError; a PolicyError is one too.
+        policy_path = Path(policy_path).resolve()
+        policy = load_policy(policy_path.read_bytes())
+    except (OSError, ValueError) as exc:
         return _fail(f"policy {policy_path}: {exc}")
 
     world = seeded_world()

@@ -7,8 +7,10 @@ deny reason), executes allowed effects through a registered handler, and
 appends one provenance record per directive, denials included. There is
 no bypass: nothing else in this package can reach a handler.
 
-decide() is a pure function of (policy, directive). Each issue runs under
-one lock, so chain order is a total order consistent with execution order.
+decide() is a pure function of (policy, directive). Each issue holds its
+kernel's lock and its chain's from the id read through the append, so chain
+order is a total order consistent with execution order, also for kernels
+that share one chain.
 The chain is the one account: ids and theater hits are read from it.
 """
 
@@ -56,24 +58,20 @@ Handler = Callable[[Any, Directive], Scalar]
 
 
 class HandlerRegistry:
-    """Effect handlers owned by the boundary.
+    """Effect handlers owned by the boundary, fixed when built.
 
     The key set is the expressiveness boundary: an effect kind without a
-    handler cannot happen in this system, whatever any policy says.
+    handler cannot happen in this system, whatever any policy says. There
+    is no way to add a handler afterwards, so a region verdict over
+    capabilities() holds for the registry's whole life.
     """
 
     def __init__(self, handlers: Optional[Mapping[str, Handler]] = None):
-        self._handlers: dict[str, Handler] = {}
-        for capability, handler in (handlers or {}).items():
-            self.register(capability, handler)
-
-    def register(self, capability: str, handler: Handler) -> None:
-        validate_kind(capability)
-        if capability in self._handlers:
-            raise ValueError(f"capability {capability!r} already has a handler")
-        if not callable(handler):
-            raise TypeError(f"handler for {capability!r} is not callable")
-        self._handlers[capability] = handler
+        self._handlers: dict[str, Handler] = dict(handlers or {})
+        for capability, handler in self._handlers.items():
+            validate_kind(capability)
+            if not callable(handler):
+                raise TypeError(f"handler for {capability!r} is not callable")
 
     def get(self, capability: str) -> Optional[Handler]:
         return self._handlers.get(capability)
@@ -197,10 +195,11 @@ class GovernanceKernel:
     ) -> ExecutionOutcome:
         """Build a directive, decide it, execute it if allowed, and record it.
 
-        Atomic per directive. Its id is one above the chain's ``last_id``, so
-        a resumed chain continues, and a directive never built uses no id.
+        Atomic per directive, also against other writers of the same chain.
+        Its id is one above the chain's ``last_id``, so a resumed chain
+        continues, and a directive never built uses no id.
         """
-        with self._lock:
+        with self._lock, self._chain._lock:
             directive = make_directive(kind, params, issuer, trust, phase, self._chain.last_id + 1)
             decision = decide(self._policy, directive)
             result: Optional[Scalar] = None

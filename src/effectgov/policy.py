@@ -2,7 +2,8 @@
 
 A capability the policy does not mention is denied by default. There is no
 deny-list, no wildcard matching and at most one rule per capability, so a
-decision never depends on rule ordering.
+decision never depends on rule ordering. A policy is built once, by
+Policy(rules) or load_policy, and never changes.
 
 Policy file format (JSON, unknown fields rejected)::
 
@@ -55,43 +56,25 @@ class PolicyRule:
         object.__setattr__(self, "allowed_phases", phases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Policy:
-    """Immutable map capability -> rule."""
+    """Immutable map capability -> rule, built from its rules once."""
 
     rules: Mapping[str, PolicyRule]
 
-    def __post_init__(self):
-        normalized = {}
-        for capability, rule in self.rules.items():
-            if not isinstance(rule, PolicyRule):
-                raise PolicyError(f"rule for {capability!r} is not a PolicyRule")
-            if rule.capability != capability:
-                raise PolicyError(
-                    f"rule keyed {capability!r} grants {rule.capability!r}"
-                )
-            normalized[capability] = rule
-        object.__setattr__(
-            self, "rules", MappingProxyType(dict(sorted(normalized.items())))
-        )
-
-    @classmethod
-    def from_rules(cls, rules: Iterable[PolicyRule]) -> "Policy":
-        """Policy of the rules; names the position of a repeated capability."""
+    def __init__(self, rules: Iterable[PolicyRule]):
+        """Policy of the rules; names the position of a non-rule or a repeated capability."""
         by_capability: dict[str, PolicyRule] = {}
         for index, rule in enumerate(rules):
+            if not isinstance(rule, PolicyRule):
+                raise PolicyError(f"rules[{index}]: not a PolicyRule: {rule!r}")
             if rule.capability in by_capability:
                 raise PolicyError(f"rules[{index}]: duplicate capability {rule.capability!r}")
             by_capability[rule.capability] = rule
-        return cls(rules=by_capability)
+        object.__setattr__(self, "rules", MappingProxyType(dict(sorted(by_capability.items()))))
 
 
-EMPTY_POLICY = Policy.from_rules([])
-
-
-def policy_capabilities(policy: Policy) -> frozenset[str]:
-    """The governance boundary: every capability the policy covers."""
-    return frozenset(policy.rules)
+EMPTY_POLICY = Policy([])
 
 
 _RULE_FIELDS = frozenset({"capability", "min_trust", "allowed_phases"})
@@ -127,7 +110,7 @@ def load_policy(document: bytes | str) -> Policy:
     if not isinstance(entries, list):
         raise PolicyError("'rules' must be a list")
     # Lazy, so a duplicate is reported before any fault in a later rule.
-    return Policy.from_rules(
+    return Policy(
         _rule_from_entry(entry, f"rules[{index}]") for index, entry in enumerate(entries)
     )
 

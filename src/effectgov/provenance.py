@@ -246,7 +246,9 @@ class Chain:
         self._ends: list[int] = []
         # Held while append grows the buffer and while export swaps it for
         # its immutable copy: unheld, a swap could drop a line just added.
-        self._lock = threading.Lock()
+        # Re-entrant, so kernel.issue can hold it from reading last_id
+        # through its append, and no other writer can take the id between.
+        self._lock = threading.RLock()
 
     @classmethod
     def _adopt(cls, records: list, data: bytes, ends: list) -> "Chain":

@@ -18,8 +18,6 @@ EMAIL_SEND = "email.send"
 DB_QUERY = "db.query"
 WEB_BROWSE = "web.browse"
 
-SIM_CAPABILITIES = frozenset({EMAIL_SEND, DB_QUERY, WEB_BROWSE})
-
 # Obviously fake fixture data for the pre-seeded tables.
 _SENSITIVE_ROWS = [
     {"id": "1", "owner": "test-subject-a", "secret": "FAKE-SECRET-0001"},

@@ -8,10 +8,10 @@ directive ids are assigned by kernel.issue, which is what makes chains
 concatenate under sequencing.
 
 Each node class is the one definition of its node: it evaluates itself
-(_eval), checks its children when it is built, and is its own constructor
-(step, emit, branch and iterate are the classes). run checks the root the
-same way, so a malformed tree is refused before it issues anything. Node
-semantics:
+(_eval), checks its children and its functions when it is built, and is
+its own constructor (step, emit, branch and iterate are the classes). run
+checks the root the same way, so a malformed tree is refused before it
+issues anything. Node semantics:
 
 * PureStep(name, fn): output is fn(value).
 * Emit(name, kind, params_fn, phase=EXECUTE): issues one directive with
@@ -67,10 +67,18 @@ def _check_node(node) -> None:
         raise WorkflowError(f"unknown workflow node {type(node).__name__}")
 
 
+def _check_fn(fn, what: str, *names) -> None:
+    if not callable(fn):
+        raise WorkflowError(f"{what % names} is not callable: {type(fn).__name__}")
+
+
 @dataclass(frozen=True)
 class PureStep(Workflow):
     name: str
     fn: Callable[[Value], Value]
+
+    def __post_init__(self) -> None:
+        _check_fn(self.fn, "step %r fn", self.name)
 
     def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
         return _call(self.fn, value, check, "step %r", self.name)
@@ -82,6 +90,9 @@ class Emit(Workflow):
     kind: str
     params_fn: Callable[[Value], Mapping[str, Scalar]]
     phase: Phase = Phase.EXECUTE
+
+    def __post_init__(self) -> None:
+        _check_fn(self.params_fn, "emit %r params_fn", self.name)
 
     def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
         params = _call(self.params_fn, value, check, "emit %r params", self.name)
@@ -112,6 +123,7 @@ class Branch(Workflow):
     else_arm: Workflow
 
     def __post_init__(self) -> None:
+        _check_fn(self.predicate, "branch predicate")
         _check_node(self.then_arm)
         _check_node(self.else_arm)
 
@@ -130,6 +142,7 @@ class Iterate(Workflow):
     items_fn: Callable[[Value], list]
 
     def __post_init__(self) -> None:
+        _check_fn(self.items_fn, "iterate items_fn")
         _check_node(self.body)
 
     def _eval(self, value: Value, kernel, trust, check: bool) -> Value:

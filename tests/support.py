@@ -27,10 +27,9 @@ from effectgov import (
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
 from effectgov.directives import make_directive
 from effectgov.provenance import ZERO_DIGEST
-from effectgov.simworld import SIM_CAPABILITIES
 from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq
 
-SIM_KINDS = sorted(SIM_CAPABILITIES)
+SIM_KINDS = sorted(standard_registry().capabilities())
 ALL_PHASES = list(Phase)
 ALL_TRUST = list(TrustLevel)
 
@@ -47,7 +46,7 @@ def random_policy(rng: random.Random, capabilities=SIM_KINDS) -> Policy:
                     allowed_phases=frozenset(rng.sample(ALL_PHASES, phase_count)),
                 )
             )
-    return Policy.from_rules(rules)
+    return Policy(rules)
 
 
 def valid_params_for(kind: str, rng: random.Random) -> dict:

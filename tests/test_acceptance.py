@@ -190,7 +190,7 @@ def test_criterion_6_tamper_evidence():
 def test_criterion_7_determinism_replay():
     with criterion(7, "export, import and re-decide reproduces every decision"):
         rng = random.Random(85_000_000)
-        policy = Policy.from_rules([
+        policy = Policy([
             PolicyRule(capability="email.send", min_trust=TrustLevel.AGENT,
                        allowed_phases=frozenset({Phase.EXECUTE})),
             PolicyRule(capability="db.query", min_trust=TrustLevel.OPERATOR,

@@ -24,11 +24,10 @@ from effectgov import (
     standard_registry,
 )
 from effectgov.analysis import enumerate_directive_space
-from effectgov.policy import policy_capabilities
 
 
 def policy_for(*capabilities):
-    return Policy.from_rules([
+    return Policy([
         PolicyRule(capability=capability, min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE}))
         for capability in capabilities
@@ -98,7 +97,7 @@ def test_coterminous_iff_registry_matches_policy():
     registry = standard_registry()
     matched = policy_for(*registry.capabilities())
     assert regions(registry.capabilities(), matched).coterminous
-    assert policy_capabilities(matched) == registry.capabilities()
+    assert set(matched.rules) == registry.capabilities()
     for unmatched in (
         policy_for("email.send"),
         policy_for(*registry.capabilities(), "ghost.cap"),

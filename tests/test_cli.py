@@ -75,6 +75,21 @@ def test_run_without_any_policy_is_usage_error(tmp_path, capsys):
     assert "no policy" in stderr
 
 
+def test_run_policy_reference_holding_a_nul_is_usage_error(tmp_path, capsys):
+    scenario = json.loads(Path(SCENARIO).read_bytes())
+    scenario["policy"] = "a\u0000b"
+    path = tmp_path / "nul.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "chain.jsonl"
+    code, stdout, stderr = run_cli(capsys, "run", "--scenario", str(path), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("effectgov: policy ")
+    assert "null byte" in stderr
+    assert not out.exists()
+
+
 def test_run_missing_policy_file(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "run", "--scenario", SCENARIO, "--policy", str(tmp_path / "nope.json"),
@@ -272,6 +287,18 @@ def test_simulate_monitor_actions_past_the_float_range(capsys):
     assert report["empirical"] == 1.0
 
 
+def test_simulate_monitor_human(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "simulate-monitor", "--coverage", "1.0", "--actions", "10",
+        "--trials", "100", "--seed", "3", "--human",
+    )
+    assert code == 0
+    assert stdout == (
+        "analytic gap probability 0.000000\n"
+        "empirical gap frequency 0.000000 (100 trials, seed 3)\n"
+    )
+
+
 def test_simulate_monitor_zero_trials_is_usage_error(capsys):
     code, _, stderr = run_cli(
         capsys, "simulate-monitor", "--coverage", "0.5", "--actions", "10", "--trials", "0"
@@ -292,6 +319,15 @@ def test_bench_writes_report(tmp_path, capsys):
     assert "context" not in report
     assert json.loads(out.read_text()) == report
     assert run_cli(capsys, "bench", "--context-size", "1")[0] == 2
+
+
+def test_bench_zero_iterations_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, stdout, stderr = run_cli(capsys, "bench", "--iters", "0", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_human_and_unwritable_report(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import sys
 import threading
 
 import pytest
@@ -68,7 +70,7 @@ def test_decide_grid_against_reference():
         TrustLevel, nonempty_phase_sets, (False, True)
     ):
         rule = email_rule(min_trust, phases) if covered else None
-        policy = Policy.from_rules([rule] if rule else [])
+        policy = Policy([rule] if rule else [])
         for directive in enumerate_directive_space(["email.send"]):
             decision = decide(policy, directive)
             assert (decision.verdict.value, decision.reason.value) == reference_decision(
@@ -77,14 +79,14 @@ def test_decide_grid_against_reference():
 
 
 def test_decide_examples():
-    policy = Policy.from_rules([email_rule()])
+    policy = Policy([email_rule()])
     allowed = decide(policy, directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE))
     assert allowed.verdict is Verdict.ALLOW and allowed.reason is DecisionReason.GRANTED
 
     uncovered = decide(policy, directive_for("web.browse", TrustLevel.AGENT, Phase.EXECUTE))
     assert uncovered.reason is DecisionReason.NO_CAPABILITY
 
-    floor = Policy.from_rules([email_rule(min_trust=TrustLevel.OPERATOR)])
+    floor = Policy([email_rule(min_trust=TrustLevel.OPERATOR)])
     low = decide(floor, directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE))
     assert low.reason is DecisionReason.INSUFFICIENT_TRUST
 
@@ -122,7 +124,7 @@ def test_decide_total_and_pure(kind, trust, phase, seed):
 
 
 def test_decide_consults_no_world_or_chain():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     before_world = kernel.world.snapshot_bytes()
     for _ in range(10):
         decide(kernel.policy, directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE))
@@ -131,7 +133,7 @@ def test_decide_consults_no_world_or_chain():
 
 
 def test_submit_allowed_email():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step1",
                            TrustLevel.AGENT, Phase.EXECUTE)
     assert outcome.performed
@@ -142,7 +144,7 @@ def test_submit_allowed_email():
 
 
 def test_execution_outcome_keeps_its_dataclass_behaviour():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step1",
                            TrustLevel.AGENT, Phase.EXECUTE)
     record = outcome.record
@@ -158,7 +160,7 @@ def test_execution_outcome_keeps_its_dataclass_behaviour():
 
 
 def test_submit_denied_browse_leaves_world_unchanged():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     before = kernel.world.snapshot_bytes()
     outcome = kernel.issue("web.browse", {"url": "http://x/?q=SECRET"}, "step3",
                            TrustLevel.AGENT, Phase.EXECUTE)
@@ -185,7 +187,7 @@ def test_thousand_submissions_counted_both_sides():
 
 
 def test_allow_without_handler_is_recorded_and_flagged():
-    policy = Policy.from_rules([
+    policy = Policy([
         PolicyRule(capability="ghost.cap", min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE})),
     ])
@@ -205,7 +207,7 @@ def test_allow_without_handler_is_recorded_and_flagged():
 
 
 def test_handler_failure_recorded_and_run_continues():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     failed = kernel.issue("email.send", {"body": "no recipient"}, "step",
                           TrustLevel.AGENT, Phase.EXECUTE)
     assert failed.exec_status is ExecStatus.FAILED
@@ -220,7 +222,7 @@ def test_handler_failure_recorded_and_run_continues():
 
 def test_non_scalar_handler_result_is_a_failure():
     registry = HandlerRegistry({"odd.cap": lambda world, directive: ["not", "scalar"]})
-    policy = Policy.from_rules([
+    policy = Policy([
         PolicyRule(capability="odd.cap", min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE})),
     ])
@@ -241,7 +243,7 @@ def test_unencodable_handler_result_still_gets_its_record(result):
         return result
 
     registry = HandlerRegistry({"odd.cap": handler})
-    policy = Policy.from_rules([
+    policy = Policy([
         PolicyRule(capability="odd.cap", min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE})),
     ])
@@ -256,11 +258,104 @@ def test_unencodable_handler_result_still_gets_its_record(result):
     assert kernel.chain.verify().valid
 
 
-def test_registry_rejects_duplicates_and_reports_capabilities():
+def test_registry_is_fixed_when_built_and_reports_capabilities():
     registry = standard_registry()
     assert registry.capabilities() == {"email.send", "db.query", "web.browse"}
-    with pytest.raises(ValueError, match="already"):
-        registry.register("email.send", lambda world, directive: "x")
+    assert [name for name in dir(registry) if not name.startswith("_")] == [
+        "capabilities", "get",
+    ]
+    handlers = {"email.send": lambda world, directive: "x"}
+    built = HandlerRegistry(handlers)
+    handlers["shell.exec"] = lambda world, directive: "y"
+    assert built.capabilities() == {"email.send"}
+    assert built.get("shell.exec") is None
+
+
+def test_registry_refuses_a_non_callable_handler_or_a_bad_kind():
+    with pytest.raises(TypeError, match="handler for 'email.send' is not callable"):
+        HandlerRegistry({"email.send": "not a function"})
+    with pytest.raises(DirectiveError):
+        HandlerRegistry({"Email Send": lambda world, directive: "x"})
+
+
+def test_two_kernels_on_one_chain_keep_one_record_per_issue():
+    # Kernel 1's handler blocks mid-issue while kernel 2 issues on the same
+    # chain. Kernel 2 must wait for kernel 1's append, not take its id.
+    entered, release = threading.Event(), threading.Event()
+
+    def blocking(world, directive):
+        entered.set()
+        assert release.wait(10)
+        return "slow"
+
+    chain = Chain()
+    policy = Policy([email_rule()])
+    first = GovernanceKernel(policy, HandlerRegistry({"email.send": blocking}), None, chain)
+    second = GovernanceKernel(
+        policy, HandlerRegistry({"email.send": lambda world, directive: "fast"}), None, chain
+    )
+    outcomes, errors = {}, []
+
+    def issue(kernel, tag):
+        try:
+            outcomes[tag] = kernel.issue("email.send", {"to": tag}, tag,
+                                         TrustLevel.AGENT, Phase.EXECUTE)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    one = threading.Thread(target=issue, args=(first, "one"))
+    one.start()
+    assert entered.wait(10)
+    two = threading.Thread(target=issue, args=(second, "two"))
+    two.start()
+    two.join(0.5)
+    waited = two.is_alive()
+    release.set()
+    one.join(10)
+    two.join(10)
+    assert not one.is_alive() and not two.is_alive()
+    assert waited, "kernel 2 appended while kernel 1's issue was in flight"
+    assert errors == []
+    assert [record.directive.id for record in chain.records] == [1, 2]
+    assert outcomes["one"].record is chain.records[0]
+    assert outcomes["two"].record is chain.records[1]
+    assert outcomes["one"].result == "slow" and outcomes["two"].result == "fast"
+    assert chain.verify().valid
+
+
+def test_kernels_sharing_a_chain_keep_every_record_under_thread_stress():
+    chain, world = Chain(), seeded_world()
+    policy = Policy([email_rule()])
+    kernels = [GovernanceKernel(policy, standard_registry(), world, chain) for _ in range(2)]
+    workers, per_worker = 2 * (os.cpu_count() or 1) + 2, 300
+    errors = []
+
+    def worker(tag):
+        try:
+            for index in range(per_worker):
+                kernels[tag % 2].issue("email.send", {"to": f"{tag}@example.test",
+                                                      "body": str(index)},
+                                       f"thread{tag}", TrustLevel.AGENT, Phase.EXECUTE)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(tag,)) for tag in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(world.outbox) == len(chain) == workers * per_worker
+    ids = [record.directive.id for record in chain.records]
+    assert ids == list(range(1, len(ids) + 1))
+    assert [directive_id for _, directive_id in world.journal] == ids
+    assert chain.verify().valid
 
 
 def test_all_deny_run_is_inert():
@@ -277,7 +372,7 @@ def test_all_deny_run_is_inert():
 
 
 def test_concurrent_submissions_serialize():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     per_thread = 50
 
     def worker(tag):
@@ -390,7 +485,7 @@ def test_kernel_resumed_on_a_chain_continues_above_its_highest_id():
     assert excinfo.value.index == 2
     assert import_chain(relink(lines[:2])) == chain
 
-    kernel = GovernanceKernel(Policy.from_rules([email_rule()]), standard_registry(),
+    kernel = GovernanceKernel(Policy([email_rule()]), standard_registry(),
                               seeded_world(), chain=resumed)
     outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
                            TrustLevel.AGENT, Phase.EXECUTE)
@@ -400,7 +495,7 @@ def test_kernel_resumed_on_a_chain_continues_above_its_highest_id():
 
 
 def test_an_issue_that_cannot_build_its_directive_uses_up_no_id():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     with pytest.raises(DirectiveError):
         kernel.issue("Not A Kind", {}, "step", TrustLevel.AGENT, Phase.EXECUTE)
     assert len(kernel.chain) == 0
@@ -410,7 +505,7 @@ def test_an_issue_that_cannot_build_its_directive_uses_up_no_id():
 
 
 def test_issue_continues_above_an_append_made_outside_the_kernel():
-    kernel = fresh_kernel(Policy.from_rules([email_rule()]))
+    kernel = fresh_kernel(Policy([email_rule()]))
     kernel.chain.append(directive_for("web.browse", TrustLevel.AGENT, Phase.EXECUTE, id=50),
                         DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
     outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
@@ -420,7 +515,7 @@ def test_issue_continues_above_an_append_made_outside_the_kernel():
 
 
 def test_resumed_kernel_reports_the_imported_theater_hits():
-    policy = Policy.from_rules([
+    policy = Policy([
         email_rule(),
         PolicyRule(capability="ghost.cap", min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE})),

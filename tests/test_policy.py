@@ -14,7 +14,7 @@ from effectgov import (
     TrustLevel,
     load_policy,
 )
-from effectgov.policy import policy_capabilities, serialize_policy
+from effectgov.policy import serialize_policy
 
 
 def rule(capability="email.send", min_trust=TrustLevel.AGENT, phases=(Phase.EXECUTE,)):
@@ -34,12 +34,12 @@ TWO_RULE_DOCUMENT = json.dumps(
 
 
 def test_lookup_hit():
-    policy = Policy.from_rules([rule()])
+    policy = Policy([rule()])
     assert policy.rules.get("email.send") == rule()
 
 
 def test_lookup_miss_is_none():
-    policy = Policy.from_rules([rule()])
+    policy = Policy([rule()])
     assert policy.rules.get("web.browse") is None
 
 
@@ -50,7 +50,7 @@ def test_lookup_on_empty_policy():
 def test_load_policy_two_rules():
     policy = load_policy(TWO_RULE_DOCUMENT)
     assert len(policy.rules) == 2
-    assert policy_capabilities(policy) == {"email.send", "db.query"}
+    assert set(policy.rules) == {"email.send", "db.query"}
     assert policy.rules.get("db.query").min_trust is TrustLevel.OPERATOR
 
 
@@ -97,7 +97,7 @@ def test_load_policy_grants_for_phantom_capability():
         {"capability": "credit_card.read", "min_trust": "agent", "allowed_phases": ["execute"]},
     ]})
     policy = load_policy(document)
-    assert policy_capabilities(policy) == {"credit_card.read"}
+    assert set(policy.rules) == {"credit_card.read"}
 
 
 def test_empty_phase_list_rejected():
@@ -139,7 +139,7 @@ policies = st.lists(
         ]
     )
 ).map(
-    lambda specs: Policy.from_rules(
+    lambda specs: Policy(
         [PolicyRule(capability=c, min_trust=t, allowed_phases=p) for c, t, p in specs]
     )
 )
@@ -153,12 +153,12 @@ def test_serialize_load_roundtrip(policy):
 
 def test_duplicate_rule_construction_rejected():
     with pytest.raises(PolicyError, match="duplicate"):
-        Policy.from_rules([rule(), rule(min_trust=TrustLevel.SYSTEM)])
+        Policy([rule(), rule(min_trust=TrustLevel.SYSTEM)])
 
 
 def test_duplicate_is_reported_at_its_position_before_later_faults():
     with pytest.raises(PolicyError, match=r"^rules\[1\]: duplicate capability 'email\.send'$"):
-        Policy.from_rules([rule(), rule(min_trust=TrustLevel.SYSTEM)])
+        Policy([rule(), rule(min_trust=TrustLevel.SYSTEM)])
     document = json.dumps({"rules": [
         {"capability": "email.send", "min_trust": "agent", "allowed_phases": ["execute"]},
         {"capability": "email.send", "min_trust": "system", "allowed_phases": ["plan"]},
@@ -166,3 +166,40 @@ def test_duplicate_is_reported_at_its_position_before_later_faults():
     ]})
     with pytest.raises(PolicyError, match=r"^rules\[1\]: duplicate capability 'email\.send'$"):
         load_policy(document)
+
+
+def test_policy_refuses_an_entry_that_is_not_a_rule_at_its_position():
+    with pytest.raises(PolicyError, match=r"^rules\[1\]: not a PolicyRule: 1$"):
+        Policy([rule(), 1])
+    # A mapping is iterated as its keys, which are not rules either.
+    with pytest.raises(PolicyError, match=r"^rules\[0\]: not a PolicyRule: 'email\.send'$"):
+        Policy({"email.send": rule()})
+
+
+def test_policy_is_its_rules_sorted_and_read_only():
+    policy = Policy(iter([rule("web.browse"), rule("db.query")]))
+    assert list(policy.rules) == ["db.query", "web.browse"]
+    assert policy == Policy([rule("db.query"), rule("web.browse")])
+    with pytest.raises(TypeError):
+        policy.rules["email.send"] = rule()
+
+
+def test_rule_refuses_a_trust_or_phase_of_the_wrong_type():
+    with pytest.raises(PolicyError, match="min_trust must be a TrustLevel, got 'agent'"):
+        PolicyRule(capability="email.send", min_trust="agent",
+                   allowed_phases=frozenset({Phase.EXECUTE}))
+    with pytest.raises(PolicyError, match="allowed_phases entry is not a Phase: 'execute'"):
+        PolicyRule(capability="email.send", min_trust=TrustLevel.AGENT,
+                   allowed_phases=frozenset({"execute"}))
+
+
+def test_load_policy_refuses_a_repeated_phase_and_non_list_rules():
+    document = json.dumps({"rules": [
+        {"capability": "email.send", "min_trust": "agent", "allowed_phases": ["execute"]},
+        {"capability": "db.query", "min_trust": "agent",
+         "allowed_phases": ["plan", "plan"]},
+    ]})
+    with pytest.raises(PolicyError, match=r"^rules\[1\]: repeated phase in allowed_phases$"):
+        load_policy(document)
+    with pytest.raises(PolicyError, match="^'rules' must be a list$"):
+        load_policy(json.dumps({"rules": {"email.send": {}}}))

@@ -306,7 +306,7 @@ def test_import_adopts_exact_bytes_and_copies_anything_else():
 def test_appending_to_an_imported_chain_leaves_the_caller_bytes_alone():
     blob = build_chain(8, seed=10).export()
     copy = bytes(bytearray(blob))
-    kernel = GovernanceKernel(Policy.from_rules([]), HandlerRegistry(), None,
+    kernel = GovernanceKernel(Policy([]), HandlerRegistry(), None,
                               chain=import_chain(blob))
     kernel.issue("email.send", {"to": "a@b.c", "body": "x"}, "step",
                  TrustLevel.AGENT, Phase.EXECUTE)
@@ -430,7 +430,7 @@ def _varied_scalar(rng: random.Random):
 def varied_chain(n: int, seed: int) -> Chain:
     """Kernel chain whose params, issuers and results span the scalar types."""
     rng = random.Random(seed)
-    policy = Policy.from_rules([
+    policy = Policy([
         PolicyRule(capability="echo.value", min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE})),
         PolicyRule(capability="no.handler", min_trust=TrustLevel.UNTRUSTED,

@@ -8,6 +8,7 @@ from effectgov import (
     GovernanceKernel,
     ScenarioError,
     Verdict,
+    WorkflowError,
     bundled_data,
     load_policy,
     load_scenario,
@@ -132,11 +133,31 @@ def test_bundled_exfiltration_under_all_tools_policy():
                                              "params": {}}}}, "unknown phase"),
         ({"input": 1, "workflow": {"emit": {"name": "e", "kind": "Bad.Kind",
                                              "params": {}}}}, "invalid character"),
+        ({"input": 1, "workflow": {"step": {"name": 5, "fn": {"op": "input"}}}},
+         "workflow.step: 'name' must be a string"),
+        ({"input": 1, "workflow": {"step": {"name": "s", "fn": "input"}}},
+         "workflow.step.fn: expected an object with an 'op' field"),
+        ({"input": 1, "workflow": {"step": {"name": "s", "fn": {"op": "concat",
+                                                              "parts": {"op": "input"}}}}},
+         "workflow.step.fn: 'parts' must be a list"),
+        ({"input": 1, "workflow": {"seq": [{"step": {"name": "s", "fn": {"op": "input"}},
+                                            "emit": {}}]}},
+         r"workflow.seq\[0\]: a node must be a single-key object"),
+        ({"input": 1, "workflow": {"emit": {"name": "e", "kind": "a.b",
+                                             "params": [{"op": "input"}]}}},
+         "workflow.emit: 'params' must be an object"),
     ],
 )
 def test_strict_scenario_errors(doc, message):
     with pytest.raises(ScenarioError, match=message):
         load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value, type_name", [([1], "list"), ({"a": 1}, "dict"), (1.5, "float"),
+                                              (None, "NoneType")])
+def test_concat_refuses_a_value_with_no_text_form(value, type_name):
+    with pytest.raises(WorkflowError, match=f"^cannot render {type_name} as text$"):
+        single_step({"op": "concat", "parts": [{"op": "input"}]}, value)
 
 
 def test_error_paths_name_their_location():

@@ -19,7 +19,7 @@ from effectgov.directives import canonical_value_bytes
 
 
 def all_sim_policy():
-    return Policy.from_rules([
+    return Policy([
         PolicyRule(capability=kind, min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE}))
         for kind in ("email.send", "db.query", "web.browse")
@@ -105,7 +105,7 @@ def test_web_browse_empty_url_fails(kernel):
 
 
 def test_denied_directive_never_reaches_handler():
-    kernel = GovernanceKernel(Policy.from_rules([]), standard_registry(), seeded_world())
+    kernel = GovernanceKernel(Policy([]), standard_registry(), seeded_world())
     issue(kernel, "web.browse", {"url": "http://x.example/"})
     assert kernel.world.http_log == ()
     assert kernel.world.journal == ()

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -36,7 +37,7 @@ from support import (
 
 
 def sim_policy(*kinds):
-    return Policy.from_rules([
+    return Policy([
         PolicyRule(capability=kind, min_trust=TrustLevel.AGENT,
                    allowed_phases=frozenset({Phase.EXECUTE}))
         for kind in kinds
@@ -286,6 +287,26 @@ def test_seeded_workflows_keep_their_golden_digest():
 def test_a_malformed_tree_is_refused_when_built(build, type_name):
     with pytest.raises(WorkflowError, match=f"unknown workflow node {type_name}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: step("s", "upper"), "step 's' fn is not callable: str"),
+        (lambda: emit("send", "email.send", {"to": "a@b.c"}),
+         "emit 'send' params_fn is not callable: dict"),
+        (lambda: branch(None, email_emit(), email_emit()),
+         "branch predicate is not callable: NoneType"),
+        (lambda: iterate(email_emit(), [1, 2]), "iterate items_fn is not callable: list"),
+    ],
+    ids=["step-fn", "emit-params_fn", "branch-predicate", "iterate-items_fn"],
+)
+def test_a_function_field_that_is_not_callable_is_refused_when_built(build, message):
+    kernel = fresh_kernel(ALL_SIM)
+    with pytest.raises(WorkflowError, match=f"^{re.escape(message)}$"):
+        run(seq(email_emit(), build()), "v", kernel)
+    assert len(kernel.chain) == 0
+    assert kernel.world.outbox == ()
 
 
 def test_seq_holds_its_parts_as_built():
