@@ -29,15 +29,20 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 
+# C0 and C1 controls and DEL, as \xNN: a path echoed in a message may hold
+# any of them, and one message must stay one line with no NUL.
+_CONTROL_ESCAPES = {code: f"\\x{code:02x}" for code in (*range(0x20), *range(0x7F, 0xA0))}
+
+
 def _fail(message: str) -> int:
-    print(f"effectgov: {message}", file=sys.stderr)
+    print(f"effectgov: {message}".translate(_CONTROL_ESCAPES), file=sys.stderr)
     return EXIT_USAGE
 
 
 def _emit(obj: dict, human: bool, human_lines) -> None:
     if human:
         for line in human_lines(obj):
-            print(line)
+            print(line.translate(_CONTROL_ESCAPES))
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
 

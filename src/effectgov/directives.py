@@ -15,16 +15,19 @@ ensure_ascii=False)`` gives; they are built here by one scalar renderer,
 
 A directive is built in one pass: ``Directive.__init__`` checks the fields
 in a fixed order (id, kind, issuer, trust, phase, params), renders the
-params and the canonical bytes, and stores every field once. The chain
-importer adopts fields it has proved canonical through
-``Directive._from_canonical``, which stores them the same way.
+params and the canonical bytes, and stores every field once. It holds the
+bytes only until a chain appends them: the chain's buffer then holds the
+line, and ``Directive.canonical`` renders the bytes again on the rare later
+read. The chain importer adopts fields it has proved canonical through
+``Directive._from_canonical``, which stores the fields the same way and no
+bytes.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -221,8 +224,23 @@ _TRUST_WIRE = {level: level.wire_name for level in TrustLevel}
 _setattr = object.__setattr__
 
 
+def _render(id, kind, params, issuer, trust, phase) -> tuple[Mapping[str, Scalar], bytes]:
+    """Check params and render a directive: its params' read-only view and its bytes.
+
+    Raises ValueError (not a DirectiveError) for an int past the int-string
+    limit or a lone surrogate, which the caller reports as having no
+    canonical encoding.
+    """
+    params, params_json = _render_params(params)
+    canonical = (
+        _CANONICAL_TEMPLATE
+        % (id, _encode_str(issuer), kind, params_json, phase._value_, kind, _TRUST_WIRE[trust])
+    ).encode("utf-8")
+    return params, canonical
+
+
 def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) -> None:
-    """Fill a new directive's fields, in declaration order.
+    """Fill a new directive's fields, in declaration order, then its bytes or None.
 
     Every construction path sets them this way, so all directives share one
     key table; filling ``__dict__`` directly would give each its own dict,
@@ -234,16 +252,18 @@ def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) ->
     _setattr(directive, "issuer", issuer)
     _setattr(directive, "trust", trust)
     _setattr(directive, "phase", phase)
-    _setattr(directive, "canonical", canonical)
+    _setattr(directive, "_canonical", canonical)
 
 
 @dataclass(frozen=True, init=False)
 class Directive:
     """One intended effect, described as inert data.
 
-    ``params`` is stored key-sorted behind a read-only view, and the
-    canonical encoding is computed once at construction; a directive's
-    identity is its content. The capability it requires is its kind.
+    ``params`` is stored key-sorted behind a read-only view; a directive's
+    identity is its content. The canonical encoding is rendered at
+    construction and held until a chain appends it, which releases it;
+    ``canonical`` then renders it again, to the same bytes. The capability
+    it requires is its kind.
     """
 
     id: int
@@ -252,7 +272,6 @@ class Directive:
     issuer: str
     trust: TrustLevel
     phase: Phase
-    canonical: bytes = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -278,12 +297,7 @@ class Directive:
         if not isinstance(phase, Phase):
             raise DirectiveError(f"phase must be a Phase, got {phase!r}")
         try:
-            params, params_json = _render_params(params)
-            canonical = (
-                _CANONICAL_TEMPLATE
-                % (id, _encode_str(issuer), kind, params_json, phase._value_, kind,
-                   _TRUST_WIRE[trust])
-            ).encode("utf-8")
+            params, canonical = _render(id, kind, params, issuer, trust, phase)
         except DirectiveError:
             raise
         except ValueError as exc:
@@ -294,10 +308,19 @@ class Directive:
     def required_capability(self) -> str:
         return self.kind
 
+    @property
+    def canonical(self) -> bytes:
+        """The canonical encoding: the bytes held, or, once released, rendered again."""
+        canonical = self._canonical
+        if canonical is None:
+            canonical = _render(
+                self.id, self.kind, self.params, self.issuer, self.trust, self.phase
+            )[1]
+        return canonical
+
     @classmethod
     def _from_canonical(
         cls,
-        canonical: bytes,
         id: int,
         kind: str,
         params: dict,
@@ -305,17 +328,18 @@ class Directive:
         trust: TrustLevel,
         phase: Phase,
     ) -> "Directive":
-        """Adopt fields together with their canonical bytes; checks nothing.
+        """Adopt fields read from canonical bytes, holding no bytes; checks nothing.
 
-        Precondition: ``canonical`` is the canonical encoding of exactly
-        these fields, and ``params`` is a dict of scalars in key-sorted
-        order. ``Directive(...)`` with the same fields would then pass every
-        check and render ``canonical``, so the result is equal to that
-        directive. Only a caller that has proved this from the bytes, the
-        chain-line recognizer in ``provenance``, may use it.
+        Precondition: these fields were read from a directive's canonical
+        encoding, and ``params`` is a dict of scalars in key-sorted order.
+        ``Directive(...)`` with the same fields would then pass every check
+        and render those bytes, so the result is equal to that directive,
+        and its ``canonical`` renders them. Only a caller that has proved
+        this from the bytes, the chain-line recognizer in ``provenance``,
+        may use it.
         """
         directive = object.__new__(cls)
-        _set_fields(directive, id, kind, MappingProxyType(params), issuer, trust, phase, canonical)
+        _set_fields(directive, id, kind, MappingProxyType(params), issuer, trust, phase, None)
         return directive
 
 

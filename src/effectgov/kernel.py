@@ -197,7 +197,9 @@ class GovernanceKernel:
 
         Atomic per directive, also against other writers of the same chain.
         Its id is one above the chain's ``last_id``, so a resumed chain
-        continues, and a directive never built uses no id.
+        continues, and a directive never built uses no id. A handler's
+        ``SystemExit``, ``KeyboardInterrupt`` or ``GeneratorExit`` is
+        recorded as failed and then raised on.
         """
         with self._lock, self._chain._lock:
             directive = make_directive(kind, params, issuer, trust, phase, self._chain.last_id + 1)
@@ -227,6 +229,11 @@ class GovernanceKernel:
                             error = str(exc)
                         else:
                             error = f"{type(exc).__name__}: {exc}"
+                    except BaseException:
+                        # SystemExit, KeyboardInterrupt, GeneratorExit: the
+                        # issue is recorded as failed, then the exit goes on.
+                        self._chain.append(directive, decision, _FAILED, ZERO_DIGEST)
+                        raise
                     else:
                         status = _EXECUTED
             else:

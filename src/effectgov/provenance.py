@@ -18,8 +18,10 @@ with the genesis record linking from 32 zero bytes. Hex is lowercase.
 Records embed the directive in its canonical encoding, so a chain line is
 bit-exact reproducible from the record's fields alone. ``Chain.append``
 builds the line as bytes in one formatting step: the directive's canonical
-bytes go in as they are, next to the decision's and status's precomputed
-wire bytes and the hex of the digests; nothing is decoded and re-encoded.
+bytes, held since the directive was built, go in as they are, next to the
+decision's and status's precomputed wire bytes and the hex of the digests;
+nothing is decoded and re-encoded. Once the line is in the buffer, the
+directive lets its own copy of those bytes go.
 
 ``import_chain`` reads each line with one compiled recognizer for that
 canonical line. A line it accepts is, by construction, the canonical line
@@ -35,7 +37,10 @@ trailing newline, which ``export`` returns and then shares with the chain.
 ``import_chain`` adopts the caller's ``bytes`` as that buffer without
 splitting or copying it. Records stay built next to the buffer, because
 every reader of a chain reads its records, and decoding them again from the
-bytes would cost that reader the parse import already paid.
+bytes would cost that reader the parse import already paid. A record's
+directive does not repeat the buffer's bytes: ``append`` releases the
+directive's canonical bytes once its line is in the buffer, and an imported
+directive never holds any; ``Directive.canonical`` renders them again.
 """
 
 from __future__ import annotations
@@ -235,7 +240,9 @@ class Chain:
     next to the records built from them. The buffer is a ``bytearray`` while
     records are appended and immutable ``bytes`` once exported or imported:
     ``import_chain`` adopts the caller's ``bytes``, ``export`` returns the
-    buffer and keeps it, and the next ``append`` copies it once.
+    buffer and keeps it, and the next ``append`` copies it once. The
+    records' directives hold no canonical bytes of their own: ``append``
+    releases them and imported ones never hold them.
     """
 
     __slots__ = ("_records", "_data", "_ends", "_lock")
@@ -316,6 +323,7 @@ class Chain:
             if type(data) is bytes:  # empty, imported or exported: copy it once
                 data = self._data = bytearray(data)
             data += _with_this_hash(body, this)
+            _setattr(directive, "_canonical", None)  # the buffer holds them now
             self._ends.append(len(data) - 1)
             self._records.append(record)
             return record
@@ -390,6 +398,7 @@ def _parse_line(raw: bytes, index: int) -> ProvenanceRecord:
     record = _record_from_obj(obj, index)
     if record_line(record) != raw:
         raise ChainIntegrityError(index, "record bytes are not in canonical form")
+    _setattr(record.directive, "_canonical", None)  # raw holds them
     return record
 
 
@@ -419,10 +428,10 @@ _PAIR = r"%s:(?:%s|%s|true|false)" % (_STRING, _STRING, _INTEGER)
 _HEX = r"[0-9a-f]{64}"
 _LINE_PATTERN = (
     (
-        r'\{"seq":(?P<seq>%(nat)s),"directive":(?P<directive>\{"id":(?P<id>%(nat)s),'
+        r'\{"seq":(?P<seq>%(nat)s),"directive":\{"id":(?P<id>%(nat)s),'
         r'"issuer":(?P<issuer>(?!"")%(str)s),"kind":"(?P<kind>%(kind)s)",'
         r'"params":(?P<params>\{(?:%(pair)s(?:,%(pair)s)*)?\}),"phase":"(?P<phase>%(phase)s)",'
-        r'"required_capability":"(?P=kind)","trust":"(?P<trust>%(trust)s)"\}),'
+        r'"required_capability":"(?P=kind)","trust":"(?P<trust>%(trust)s)"\},'
         r'"decision":(?P<decision>%(decision)s),"exec_status":"(?P<status>%(status)s)",'
         r'"result_digest":"(?P<result>%(hex)s)","prev_hash":"(?P<prev>%(hex)s)",'
         r'"this_hash":"(?P<this>%(hex)s)"\}'
@@ -461,9 +470,9 @@ def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
     match = _line_matcher()(raw)
     if match is None:
         return None
-    seq, canonical, id_, issuer, kind, params, phase, trust, decision, status, *digests = (
-        match.group("seq", "directive", "id", "issuer", "kind", "params", "phase", "trust",
-                    "decision", "status", "result", "prev", "this")
+    seq, id_, issuer, kind, params, phase, trust, decision, status, *digests = match.group(
+        "seq", "id", "issuer", "kind", "params", "phase", "trust", "decision", "status",
+        "result", "prev", "this"
     )
     try:
         seq = int(seq)
@@ -486,7 +495,7 @@ def _recognize(raw: bytes) -> Optional[ProvenanceRecord]:
     return ProvenanceRecord(
         seq,
         Directive._from_canonical(
-            canonical, id_, kind.decode("ascii"), values, issuer, _TRUSTS[trust], _PHASES[phase]
+            id_, kind.decode("ascii"), values, issuer, _TRUSTS[trust], _PHASES[phase]
         ),
         _DECISIONS[decision],
         _STATUSES[status],

@@ -9,6 +9,7 @@ tests rely on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import re
@@ -27,7 +28,7 @@ from effectgov import (
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
 from effectgov.directives import make_directive
 from effectgov.provenance import ZERO_DIGEST
-from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq
+from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq, run
 
 SIM_KINDS = sorted(standard_registry().capabilities())
 ALL_PHASES = list(Phase)
@@ -112,6 +113,23 @@ def random_input(rng: random.Random):
 
 def fresh_kernel(policy: Policy, world=None) -> GovernanceKernel:
     return GovernanceKernel(policy, standard_registry(), world if world is not None else seeded_world())
+
+
+@functools.cache
+def golden_workflow_runs() -> tuple:
+    """(kernel, run result) of 500 seeded workflow runs, half of them with
+    the determinism check; the workflow golden digest pins them."""
+    runs = []
+    for i in range(500):
+        rng = random.Random(f"workflow-golden:{i}")
+        policy = random_policy(rng)
+        workflow = random_workflow(rng)
+        value = random_input(rng)
+        trust = rng.choice(ALL_TRUST)
+        kernel = fresh_kernel(policy)
+        result = run(workflow, value, kernel, trust=trust, check_determinism=(i % 2 == 1))
+        runs.append((kernel, result))
+    return tuple(runs)
 
 
 def record_essence(record) -> tuple:

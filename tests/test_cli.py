@@ -87,7 +87,53 @@ def test_run_policy_reference_holding_a_nul_is_usage_error(tmp_path, capsys):
     assert stderr.count("\n") == 1
     assert stderr.startswith("effectgov: policy ")
     assert "null byte" in stderr
+    assert "\0" not in stderr and "a\\x00b" in stderr
     assert not out.exists()
+
+
+def test_run_policy_reference_holding_a_newline_is_one_line(tmp_path, capsys):
+    scenario = json.loads(Path(SCENARIO).read_bytes())
+    scenario["policy"] = "x\ny"
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "chain.jsonl"
+    code, stdout, stderr = run_cli(capsys, "run", "--scenario", str(path), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert stderr.startswith(f"effectgov: policy {tmp_path}/x\\x0ay: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "{bad}", "--out", "{out}"],
+        ["run", "--scenario", SCENARIO, "--policy", "{bad}", "--out", "{out}"],
+        ["run", "--scenario", SCENARIO, "--out", "{bad}/chain.jsonl"],
+        ["verify", "{bad}"],
+        ["regions", "--capabilities", "{bad}", "--policy", POLICY_ALL],
+        ["regions", "--capabilities", MANIFEST, "--policy", "{bad}"],
+        ["bench", "--iters", "1", "--warmup", "0", "--out", "{bad}/report.json"],
+    ],
+    ids=["run-scenario", "run-policy", "run-out", "verify", "regions-capabilities",
+         "regions-policy", "bench-out"],
+)
+def test_a_path_error_echoes_control_characters_escaped(argv, tmp_path, capsys):
+    bad = str(tmp_path / "a\nb\x1bc\x7fd")
+    argv = [arg.format(bad=bad, out=tmp_path / "chain.jsonl") for arg in argv]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stderr.count("\n") == 1 and stderr.startswith("effectgov: ")
+    assert "a\\x0ab\\x1bc\\x7fd" in stderr
+    assert not any(ord(char) < 0x20 or 0x7F <= ord(char) < 0xA0 for char in stderr[:-1])
+
+
+def test_run_human_echoes_the_chain_path_escaped(tmp_path, capsys):
+    out = tmp_path / "c\nd.jsonl"
+    code, stdout, _ = run_cli(capsys, "run", "--scenario", SCENARIO, "--out", str(out), "--human")
+    assert code == 0 and out.exists()
+    assert stdout.splitlines()[-1].startswith(f"chain written to {tmp_path}/c\\x0ad.jsonl, tip ")
 
 
 def test_run_missing_policy_file(tmp_path, capsys):

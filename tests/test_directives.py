@@ -9,7 +9,8 @@ import re
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from effectgov import DirectiveError, Phase, TrustLevel, seeded_world
+from effectgov import Chain, DirectiveError, ExecStatus, Phase, TrustLevel, seeded_world
+from effectgov.decisions import ALLOW_GRANTED
 from effectgov.directives import (
     EFFECT_KIND_GRAMMAR,
     JSON_ERRORS,
@@ -20,6 +21,7 @@ from effectgov.directives import (
     make_directive,
     validate_kind,
 )
+from effectgov.provenance import ZERO_DIGEST
 
 KIND_RE = re.compile(EFFECT_KIND_GRAMMAR + r"\Z")
 
@@ -228,19 +230,22 @@ def test_first_fault_in_field_order_is_reported(build, first):
 
 def test_repr_eq_and_hash_leave_out_the_canonical_bytes():
     directive = d(kind="a.b", params={"z": 1, "a": "x"}, issuer="s")
-    assert repr(directive) == (
-        "Directive(id=1, kind='a.b', params=mappingproxy({'a': 'x', 'z': 1}), issuer='s', "
-        "trust=<TrustLevel.AGENT: 1>, phase=<Phase.EXECUTE: 'execute'>)"
-    )
-    # Equal fields, other bytes: the bytes take no part in ==.
-    twin = Directive._from_canonical(b"{}", 1, "a.b", {"a": "x", "z": 1}, "s",
-                                     TrustLevel.AGENT, Phase.EXECUTE)
-    assert twin == directive and twin.canonical != directive.canonical
+    # The twin's bytes are released by its append; the directive keeps its own.
+    twin = d(kind="a.b", params={"a": "x", "z": 1}, issuer="s")
+    Chain().append(twin, ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST)
+    assert twin._canonical is None and directive._canonical is not None
+    for made in (directive, twin):
+        assert repr(made) == (
+            "Directive(id=1, kind='a.b', params=mappingproxy({'a': 'x', 'z': 1}), issuer='s', "
+            "trust=<TrustLevel.AGENT: 1>, phase=<Phase.EXECUTE: 'execute'>)"
+        )
+        with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+            hash(made)
+    assert twin == directive and twin.canonical == directive.canonical
     assert directive != d(kind="a.b", params={"z": 2, "a": "x"}, issuer="s")
     assert dataclasses.replace(directive, id=2) == d(kind="a.b", params={"a": "x", "z": 1},
                                                      issuer="s", id=2)
-    with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
-        hash(directive)
+    assert dataclasses.replace(twin, id=2) == dataclasses.replace(directive, id=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         directive.kind = "c.d"
 

@@ -30,7 +30,7 @@ from effectgov import (
     standard_registry,
 )
 from effectgov.analysis import enumerate_directive_space
-from effectgov.decisions import DENY_NO_CAPABILITY, Decision, decision_from_obj
+from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY, Decision, decision_from_obj
 from effectgov.directives import make_directive
 from effectgov.kernel import ExecutionOutcome
 from effectgov.provenance import ZERO_DIGEST
@@ -256,6 +256,38 @@ def test_unencodable_handler_result_still_gets_its_record(result):
     assert len(kernel.chain) == 1
     assert kernel.chain.records[0].result_digest == bytes(32)
     assert kernel.chain.verify().valid
+
+
+@pytest.mark.parametrize("exit_type", [SystemExit, KeyboardInterrupt, GeneratorExit])
+def test_a_handler_that_raises_an_exit_gets_its_failed_record_and_the_exit_goes_on(exit_type):
+    # The world may already have changed when the handler raises, so the
+    # issue is recorded before the exit propagates.
+    effects = []
+    raised = exit_type("stop")
+
+    def handler(world, directive):
+        effects.append(directive.id)
+        raise raised
+
+    registry = HandlerRegistry({"odd.cap": handler})
+    policy = Policy([
+        PolicyRule(capability="odd.cap", min_trust=TrustLevel.AGENT,
+                   allowed_phases=frozenset({Phase.EXECUTE})),
+    ])
+    kernel = GovernanceKernel(policy, registry, seeded_world())
+    with pytest.raises(exit_type) as excinfo:
+        kernel.issue("odd.cap", {"n": 1}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert excinfo.value is raised
+    assert effects == [1]
+    [record] = kernel.chain.records
+    assert (record.directive.id, record.decision, record.exec_status, record.result_digest) == (
+        1, ALLOW_GRANTED, ExecStatus.FAILED, ZERO_DIGEST
+    )
+    assert kernel.chain.verify().valid
+    assert import_chain(kernel.chain.export()) == kernel.chain
+    # The kernel's lock was let go: the next issue continues the chain.
+    kernel.issue("odd.cap", {"n": 2}, "step", TrustLevel.AGENT, Phase.PLAN)
+    assert kernel.chain.last_id == 2
 
 
 def test_registry_is_fixed_when_built_and_reports_capabilities():

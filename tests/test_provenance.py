@@ -1,5 +1,6 @@
 """Chain linking, verification, tamper evidence and the JSONL format."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,12 +27,19 @@ from effectgov import (
     import_chain,
 )
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
-from effectgov.directives import directive_from_obj, make_directive
-from effectgov.provenance import ZERO_DIGEST
+from effectgov.directives import Directive, directive_from_obj, make_directive
+from effectgov.provenance import ZERO_DIGEST, record_line
 from effectgov.cli import main
 from effectgov import provenance as provenance_module
 
-from support import disagreeing_status_lines, fresh_kernel, random_policy, relink, valid_params_for
+from support import (
+    disagreeing_status_lines,
+    fresh_kernel,
+    golden_workflow_runs,
+    random_policy,
+    relink,
+    valid_params_for,
+)
 
 
 def directive(i, kind="email.send", params=None):
@@ -146,6 +154,97 @@ def test_import_keeps_no_second_copy_of_the_lines():
     alone = retained_bytes(lambda: [provenance_module._recognize(line) for line in lines])
     imported = retained_bytes(lambda: import_chain(blob))
     assert (imported - alone) / len(lines) <= 64, (imported, alone)
+
+
+def chain_of_bodies(count: int, size: int, seed: int):
+    """Kernel chain of ``count`` allowed effects, each with its own ``size``-char body."""
+    rng = random.Random(seed)
+    policy = Policy([PolicyRule(capability="note.write", min_trust=TrustLevel.AGENT,
+                                allowed_phases=frozenset({Phase.EXECUTE}))])
+    kernel = GovernanceKernel(policy, HandlerRegistry({"note.write": lambda world, d: 1}), None)
+    for index in range(count):
+        body = rng.randbytes(size // 2).hex()
+        kernel.issue("note.write", {"body": body, "n": index}, "step", TrustLevel.AGENT,
+                     Phase.EXECUTE)
+    return kernel.chain
+
+
+def test_an_imported_record_keeps_no_copy_of_its_line():
+    # The chain's buffer is the caller's bytes; beside it each record keeps
+    # its fields, the largest of them the decoded body, and no directive
+    # bytes, about 1.12 lines per record. Holding them, as each record once
+    # did, costs about 2.05.
+    blob = chain_of_bodies(2_000, 4_096, seed=7).export()
+    per_line = len(blob) / 2_000
+    retained = retained_bytes(lambda: import_chain(blob)) / 2_000
+    assert retained < 1.25 * per_line, (retained, per_line)
+
+
+def test_an_appended_record_keeps_no_copy_of_its_line():
+    # The kernel's own chain, buffer left out: each record keeps its fields
+    # and the caller's body, and no directive bytes, about 1.07 lines per
+    # record. Holding them, as each record once did, costs about 2.00.
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chain = chain_of_bodies(2_000, 4_096, seed=7)
+        blob = chain.export()  # the buffer, as exact bytes, left out below
+        retained = (tracemalloc.get_traced_memory()[0] - before - len(blob)) / len(chain)
+    finally:
+        if started:
+            tracemalloc.stop()
+    per_line = len(blob) / len(chain)
+    assert retained < 1.2 * per_line, (retained, per_line)
+
+
+def directive_span(line: bytes) -> bytes:
+    """The directive's canonical bytes within a chain line.
+
+    The first ',"decision":{"verdict":' is the one after the directive:
+    a quote inside a string is escaped, and no params value is an object.
+    """
+    start = line.index(b',"directive":') + len(b',"directive":')
+    return line[start : line.index(b',"decision":{"verdict":')]
+
+
+def assert_records_render_the_chain_bytes(chain: Chain) -> None:
+    """Each record's directive renders its span of the export, and each
+    record its line: both with the bytes released and while a twin of the
+    directive still holds them, and after an append releases the twin's."""
+    blob = chain.export()
+    lines = blob.split(b"\n")[:-1]
+    again = Chain()
+    for record, line in zip(chain.records, lines):
+        directive = record.directive
+        span = directive_span(line)
+        assert directive._canonical is None
+        assert directive.canonical == span and record_line(record) == line
+        twin = Directive(directive.id, directive.kind, directive.params, directive.issuer,
+                         directive.trust, directive.phase)
+        assert twin == directive and twin._canonical == span
+        assert record_line(dataclasses.replace(record, directive=twin)) == line
+        appended = again.append(twin, record.decision, record.exec_status, record.result_digest)
+        assert twin._canonical is None
+        assert twin.canonical == span and record_line(appended) == line
+    assert len(lines) == len(chain) and again.export() == blob
+
+
+def test_every_golden_record_renders_its_span_of_the_chain_bytes():
+    for kernel, _ in golden_workflow_runs():
+        assert_records_render_the_chain_bytes(kernel.chain)
+        assert_records_render_the_chain_bytes(import_chain(kernel.chain.export()))
+
+
+def test_a_record_read_by_the_full_parse_renders_its_span_too():
+    # A params string holding '":' is canonical, but the recognizer leaves
+    # it to the full parse; that path keeps no directive bytes either.
+    directives = [directive(i + 1, params={"q": 'k":v\u00e9', "\u2028": i}) for i in range(3)]
+    chain = appended_chain(directives)
+    blob = chain.export()
+    assert all(provenance_module._recognize(line) is None for line in blob.split(b"\n")[:-1])
+    assert_records_render_the_chain_bytes(chain)
+    assert_records_render_the_chain_bytes(import_chain(blob))
 
 
 def test_genesis_record():
@@ -675,3 +774,5 @@ def test_recognizer_agrees_with_the_full_parse(data):
     if isinstance(fast, Chain):
         for got, expected in zip(fast.records, full.records):
             assert_same_records(got, expected)
+        assert_records_render_the_chain_bytes(fast)
+        assert_records_render_the_chain_bytes(full)

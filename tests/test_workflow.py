@@ -27,8 +27,8 @@ from effectgov import (
 from effectgov import branch, seeded_world
 from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq, Workflow
 from support import (
-    ALL_TRUST,
     fresh_kernel,
+    golden_workflow_runs,
     random_input,
     random_policy,
     random_workflow,
@@ -259,14 +259,7 @@ def test_seeded_workflows_keep_their_golden_digest():
     # world state of 500 seeded runs, half of them with the determinism check.
     digest = hashlib.sha256()
     records = 0
-    for i in range(500):
-        rng = random.Random(f"workflow-golden:{i}")
-        policy = random_policy(rng)
-        workflow = random_workflow(rng)
-        value = random_input(rng)
-        trust = rng.choice(ALL_TRUST)
-        kernel = fresh_kernel(policy)
-        result = run(workflow, value, kernel, trust=trust, check_determinism=(i % 2 == 1))
+    for kernel, result in golden_workflow_runs():
         records += len(kernel.chain)
         digest.update(kernel.chain.export())
         digest.update(repr((result.output, result.directives_issued)).encode())
