@@ -66,18 +66,22 @@ def _cmd_run(args) -> int:
 
     world = seeded_world()
     kernel = GovernanceKernel(policy, standard_registry(), world)
-    failure = None
+    failure = code = None
     try:
         result = run_workflow(scenario.workflow, scenario.input, kernel, trust=scenario.trust)
     except (WorkflowError, DirectiveError) as exc:
         failure = f"workflow: {exc}"
-
-    # A failed workflow still leaves the record of every effect it issued.
-    try:
-        Path(args.out).write_bytes(kernel.chain.export())
-    except OSError as exc:
-        prefix = "" if failure is None else f"{failure}; "
-        return _fail(f"{prefix}cannot write chain {args.out}: {exc}")
+    finally:
+        # A failed workflow still leaves the record of every effect it
+        # issued, and so does a handler's KeyboardInterrupt or SystemExit,
+        # which goes on after the write: a return here would swallow it.
+        try:
+            Path(args.out).write_bytes(kernel.chain.export())
+        except OSError as exc:
+            prefix = "" if failure is None else f"{failure}; "
+            code = _fail(f"{prefix}cannot write chain {args.out}: {exc}")
+    if code is not None:
+        return code
     if failure is not None:
         return _fail(f"{failure} ({len(kernel.chain)} records written to {args.out})")
 

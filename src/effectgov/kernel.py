@@ -8,16 +8,15 @@ appends one provenance record per directive, denials included. There is
 no bypass: nothing else in this package can reach a handler.
 
 decide() is a pure function of (policy, directive). Each issue holds its
-kernel's lock and its chain's from the id read through the append, so chain
-order is a total order consistent with execution order, also for kernels
-that share one chain.
+chain's lock, the boundary's only lock, from the id read through the
+append, so chain order is a total order consistent with execution order,
+also for kernels that share one chain. A handler cannot re-enter it.
 The chain is the one account: ids and theater hits are read from it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
@@ -161,7 +160,6 @@ class GovernanceKernel:
         self._registry = registry
         self._world = world
         self._chain = chain if chain is not None else Chain()
-        self._lock = threading.Lock()
 
     @property
     def policy(self) -> Policy:
@@ -199,44 +197,38 @@ class GovernanceKernel:
         Its id is one above the chain's ``last_id``, so a resumed chain
         continues, and a directive never built uses no id. A handler's
         ``SystemExit``, ``KeyboardInterrupt`` or ``GeneratorExit`` is
-        recorded as failed and then raised on.
+        recorded as failed and then raised on. A handler's own issue or
+        append on this chain raises RuntimeError and builds nothing.
         """
-        with self._lock, self._chain._lock:
+        with self._chain._lock:
+            if self._chain._in_issue:
+                raise RuntimeError("a handler cannot issue on the chain it is recorded in")
             directive = make_directive(kind, params, issuer, trust, phase, self._chain.last_id + 1)
             decision = decide(self._policy, directive)
-            result: Optional[Scalar] = None
-            error: Optional[str] = None
-            digest = ZERO_DIGEST
+            result = error = None
+            status = _SKIPPED
             if decision is ALLOW_GRANTED:
                 handler = self._registry.get(directive.kind)
-                if handler is None:
-                    status = _HANDLER_MISSING
-                else:
-                    try:
-                        result = handler(self._world, directive)
-                        if not isinstance(result, (str, int, bool)):
-                            raise HandlerError(
-                                f"handler returned non-scalar {type(result).__name__}"
-                            )
-                        digest = hashlib.sha256(canonical_value_bytes(result)).digest()
-                    except Exception as exc:
-                        # Any handler fault, or a result with no canonical
-                        # encoding, still gets its one record: the world may
-                        # already have changed.
-                        status = _FAILED
-                        result = None
-                        if isinstance(exc, HandlerError):
-                            error = str(exc)
-                        else:
-                            error = f"{type(exc).__name__}: {exc}"
-                    except BaseException:
-                        # SystemExit, KeyboardInterrupt, GeneratorExit: the
-                        # issue is recorded as failed, then the exit goes on.
-                        self._chain.append(directive, decision, _FAILED, ZERO_DIGEST)
-                        raise
-                    else:
-                        status = _EXECUTED
-            else:
-                status = _SKIPPED
-            record = self._chain.append(directive, decision, status, digest)
+                status = _HANDLER_MISSING if handler is None else _FAILED
+            try:
+                if status is _FAILED:
+                    self._chain._in_issue = True
+                    result = handler(self._world, directive)
+                    if not isinstance(result, (str, int, bool)):
+                        raise HandlerError(f"handler returned non-scalar {type(result).__name__}")
+                    digest = hashlib.sha256(canonical_value_bytes(result)).digest()
+                    status = _EXECUTED
+            except Exception as exc:
+                # Any handler fault, or a result with no canonical encoding,
+                # still gets its one record: the world may already have changed.
+                result, error = None, str(exc)
+                if not isinstance(exc, HandlerError):
+                    error = f"{type(exc).__name__}: {error}"
+            finally:
+                # The one append; a handler's exit goes on after it. An exit
+                # may land after the digest, so only an executed record has it.
+                self._chain._in_issue = False
+                record = self._chain.append(
+                    directive, decision, status, digest if status is _EXECUTED else ZERO_DIGEST
+                )
             return ExecutionOutcome(record, result, error)

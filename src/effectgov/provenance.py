@@ -245,7 +245,7 @@ class Chain:
     releases them and imported ones never hold them.
     """
 
-    __slots__ = ("_records", "_data", "_ends", "_lock")
+    __slots__ = ("_records", "_data", "_ends", "_lock", "_in_issue")
 
     def __init__(self):
         self._records: list[ProvenanceRecord] = []
@@ -253,9 +253,12 @@ class Chain:
         self._ends: list[int] = []
         # Held while append grows the buffer and while export swaps it for
         # its immutable copy: unheld, a swap could drop a line just added.
-        # Re-entrant, so kernel.issue can hold it from reading last_id
-        # through its append, and no other writer can take the id between.
+        # The boundary's one lock: kernel.issue holds it from reading
+        # last_id through its append, which takes it again, re-entrantly.
         self._lock = threading.RLock()
+        # Set by kernel.issue while its handler runs, under the lock, so
+        # only that handler sees it: it may not issue or append here.
+        self._in_issue = False
 
     @classmethod
     def _adopt(cls, records: list, data: bytes, ends: list) -> "Chain":
@@ -309,6 +312,8 @@ class Chain:
         if exec_status is not _EXECUTED and result_digest != ZERO_DIGEST:
             raise ValueError("only an executed record carries a result digest")
         with self._lock:
+            if self._in_issue:
+                raise RuntimeError("a handler cannot append to the chain it is recorded in")
             last_id = self.last_id
             if directive.id <= last_id:
                 raise ValueError(f"directive id {directive.id} is not above the last id {last_id}")

@@ -45,6 +45,7 @@ from typing import Any, Callable
 from urllib.parse import quote
 
 from .directives import (
+    DirectiveError,
     JSON_ERRORS,
     Phase,
     TrustLevel,
@@ -52,7 +53,6 @@ from .directives import (
     load_json,
     phase_from_wire,
     trust_from_wire,
-    validate_kind,
 )
 from .workflow import (
     Branch,
@@ -163,12 +163,6 @@ def _compile_node(node, where: str) -> Workflow:
 
     if node_type == "emit":
         check_fields(body, {"name", "kind", "params"}, {"phase"}, f"{where}.emit", ScenarioError)
-        name = _require_str(body, "name", f"{where}.emit")
-        try:
-            kind = validate_kind(body["kind"])
-            phase = phase_from_wire(body.get("phase", Phase.EXECUTE.value))
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.emit: {exc}") from None
         params_form = body["params"]
         if not isinstance(params_form, dict):
             raise ScenarioError(f"{where}.emit: 'params' must be an object")
@@ -180,7 +174,12 @@ def _compile_node(node, where: str) -> Workflow:
         def params_fn(value):
             return {key: fn(value) for key, fn in param_fns.items()}
 
-        return Emit(name=name, kind=kind, phase=phase, params_fn=params_fn)
+        # The emit checks its own name, kind and phase when built.
+        try:
+            phase = phase_from_wire(body.get("phase", Phase.EXECUTE.value))
+            return Emit(name=body["name"], kind=body["kind"], phase=phase, params_fn=params_fn)
+        except DirectiveError as exc:
+            raise ScenarioError(f"{where}.emit: {exc}") from None
 
     if node_type == "seq":
         if not isinstance(body, list) or not body:

@@ -8,10 +8,10 @@ directive ids are assigned by kernel.issue, which is what makes chains
 concatenate under sequencing.
 
 Each node class is the one definition of its node: it evaluates itself
-(_eval), checks its children and its functions when it is built, and is
-its own constructor (step, emit, branch and iterate are the classes). run
-checks the root the same way, so a malformed tree is refused before it
-issues anything. Node semantics:
+(_eval), checks its children, its functions and (an Emit) its directive
+fields when it is built, and is its own constructor (step, emit, branch
+and iterate are the classes). run checks the root the same way, so a
+malformed tree is refused before it issues anything. Node semantics:
 
 * PureStep(name, fn): output is fn(value).
 * Emit(name, kind, params_fn, phase=EXECUTE): issues one directive with
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .directives import Phase, Scalar, TrustLevel
+from .directives import DirectiveError, Phase, Scalar, TrustLevel, validate_kind
 from .kernel import GovernanceKernel
 
 Value = Any
@@ -92,6 +92,13 @@ class Emit(Workflow):
     phase: Phase = Phase.EXECUTE
 
     def __post_init__(self) -> None:
+        # The checks Directive makes of these fields, made once here, so a
+        # tree cannot fail on its own fields after some of its effects ran.
+        validate_kind(self.kind)
+        if not isinstance(self.name, str) or self.name == "":
+            raise DirectiveError(f"emit name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.phase, Phase):
+            raise DirectiveError(f"phase must be a Phase, got {self.phase!r}")
         _check_fn(self.params_fn, "emit %r params_fn", self.name)
 
     def _eval(self, value: Value, kernel, trust, check: bool) -> Value:

@@ -8,13 +8,18 @@ to later calibration.
 import json
 import math
 import random
+import threading
 import time
 from contextlib import contextmanager
 
 from effectgov import (
+    Chain,
     ChainFormatError,
     ChainIntegrityError,
     EMPTY_POLICY,
+    ExecStatus,
+    GovernanceKernel,
+    HandlerRegistry,
     Phase,
     Policy,
     PolicyRule,
@@ -29,11 +34,16 @@ from effectgov import (
     run,
     seeded_world,
     simulate_monitor,
+    standard_registry,
 )
 from effectgov.bench import REFERENCE_MEDIANS_MS
 from effectgov.cli import main as cli_main
+from effectgov.decisions import DENY_NO_CAPABILITY
+from effectgov.directives import make_directive
+from effectgov.provenance import ZERO_DIGEST
 
 from support import (
+    SIM_KINDS,
     fresh_kernel,
     random_input,
     random_policy,
@@ -229,3 +239,104 @@ def test_criterion_9_layered_cost_arithmetic():
         added_ms = layered_cost(0.0, [10.0], 1000)
         assert added_ms == 10_000.0
         assert added_ms / 1000.0 == 10.0
+
+
+class HandlerExit(BaseException):
+    """The exit a criterion-10 handler raises; the issuing thread catches it."""
+
+
+# What a criterion-10 handler does once its effect has run. Every behaviour
+# runs the effect first, so each allow record has exactly one journal entry
+# whatever comes after it.
+HANDLER_BEHAVIOURS = (
+    "returns", "non_scalar", "raises", "exits", "issues_on_own", "issues_on_sharer",
+    "appends", "refused_and_returns",
+)
+
+
+def test_criterion_10_one_record_per_issue_whatever_the_handler_does():
+    with criterion(10, "one record per issue over 2,000 seeded issues of hostile handlers",
+                   budget_seconds=60.0):
+        standard = standard_registry()
+        threads, exercised = [], set()
+        for trial in range(20):
+            rng = random.Random(96_000_000 + trial)
+            plan = {}  # directive id -> behaviour of its handler
+            chain, world = Chain(), seeded_world()
+            kernels = []  # two kernels on one chain; issue i goes to kernels[i % 2]
+
+            def hostile(kind):
+                real = standard.get(kind)
+
+                def handler(world, directive):
+                    behaviour = plan[directive.id]
+                    exercised.add(behaviour)
+                    result = real(world, directive)
+                    if behaviour == "non_scalar":
+                        return [result]
+                    if behaviour == "raises":
+                        raise RuntimeError("after the effect")
+                    if behaviour == "exits":
+                        raise HandlerExit(directive.id)
+                    if behaviour == "appends":
+                        nested = make_directive(kind, directive.params, "nested", directive.trust,
+                                                directive.phase, directive.id + 1)
+                        chain.append(nested, DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+                    elif behaviour != "returns":
+                        # Issue i + 1 runs on kernels[i % 2]; the other one shares its chain.
+                        sharer = behaviour == "issues_on_sharer"
+                        target = kernels[directive.id % 2 if sharer else (directive.id - 1) % 2]
+                        try:
+                            target.issue(kind, directive.params, "nested",
+                                         directive.trust, directive.phase)
+                        except RuntimeError:
+                            if behaviour != "refused_and_returns":
+                                raise
+                    return result
+
+                return handler
+
+            registry = HandlerRegistry({kind: hostile(kind) for kind in SIM_KINDS})
+            kernels += [GovernanceKernel(random_policy(rng), registry, world, chain)
+                        for _ in range(2)]
+            outcomes = []
+            for index in range(100):
+                kind = rng.choice(SIM_KINDS)
+                plan[index + 1] = rng.choice(HANDLER_BEHAVIOURS)
+                args = (kind, valid_params_for(kind, rng), "outer",
+                        rng.choice(list(TrustLevel)), rng.choice(list(Phase)))
+
+                def outer(kernel=kernels[index % 2], args=args):
+                    try:
+                        outcomes.append(kernel.issue(*args))
+                    except HandlerExit as exc:
+                        outcomes.append(exc)
+
+                threads.append(threading.Thread(target=outer, daemon=True))
+                threads[-1].start()
+                threads[-1].join(10)
+                assert not threads[-1].is_alive(), f"trial {trial}: issue {index} hung"
+                assert len(outcomes) == len(chain) == index + 1, (trial, index)
+
+            records = chain.records
+            # Contiguous ids: no nested call used one.
+            assert [record.directive.id for record in records] == list(range(1, 101))
+            assert chain.verify().valid
+            for record, outcome in zip(records, outcomes):
+                behaviour = plan[record.directive.id]
+                if record.decision.verdict is Verdict.DENY:
+                    expected = ExecStatus.SKIPPED
+                elif behaviour in ("returns", "refused_and_returns"):
+                    expected = ExecStatus.EXECUTED
+                else:
+                    expected = ExecStatus.FAILED
+                assert record.exec_status is expected, (trial, record.directive.id)
+                if isinstance(outcome, HandlerExit):
+                    assert behaviour == "exits" and outcome.args == (record.directive.id,)
+                else:
+                    assert outcome.record is record
+            allow_ids = [record.directive.id for record in records
+                         if record.decision.verdict is Verdict.ALLOW]
+            assert [directive_id for _, directive_id in world.journal] == allow_ids
+        assert exercised == set(HANDLER_BEHAVIOURS)
+        assert not any(thread.is_alive() for thread in threads)

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from effectgov import bundled_path, cli, seeded_world
+from effectgov import (
+    ExecStatus,
+    HandlerRegistry,
+    bundled_path,
+    cli,
+    import_chain,
+    seeded_world,
+    standard_registry,
+)
 from effectgov.cli import main
 
 from support import disagreeing_status_lines, relink
@@ -543,6 +551,44 @@ def test_failed_run_writes_the_records_already_issued(tmp_path, capsys):
                               "--policy", POLICY_ALL, "--out", str(tmp_path / "no" / "c.jsonl"))
     assert code == 2 and stderr.count("\n") == 1
     assert stderr.startswith("effectgov: workflow: ") and "; cannot write chain " in stderr
+
+
+@pytest.mark.parametrize("exit_type", [KeyboardInterrupt, SystemExit])
+def test_run_writes_its_chain_when_a_handler_exit_ends_it(tmp_path, capsys, monkeypatch,
+                                                          exit_type):
+    # The db query has run when the fetch raises the exit, so its record is
+    # written; then the exit goes on, the same object, not a usage error.
+    worlds, raised = [], exit_type("stop")
+
+    def spy_world():
+        worlds.append(seeded_world())
+        return worlds[-1]
+
+    def fetch(world, directive):
+        raise raised
+
+    standard = standard_registry()
+    handlers = {kind: standard.get(kind) for kind in standard.capabilities()}
+    monkeypatch.setattr(cli, "seeded_world", spy_world)
+    monkeypatch.setattr(
+        cli, "standard_registry", lambda: HandlerRegistry({**handlers, "web.browse": fetch})
+    )
+    out = tmp_path / "c.jsonl"
+    with pytest.raises(exit_type) as excinfo:
+        main(["run", "--scenario", SCENARIO, "--policy", POLICY_ALL, "--out", str(out)])
+    assert excinfo.value is raised
+    assert [kind for kind, _ in worlds[0].journal] == ["db.query"]
+    chain = import_chain(out.read_bytes())
+    assert [(record.directive.kind, record.exec_status) for record in chain.records] == [
+        ("db.query", ExecStatus.EXECUTED), ("web.browse", ExecStatus.FAILED)
+    ]
+    # A chain that cannot be written is still reported before the exit goes on.
+    capsys.readouterr()
+    with pytest.raises(exit_type):
+        main(["run", "--scenario", SCENARIO, "--policy", POLICY_ALL,
+              "--out", str(tmp_path / "no" / "c.jsonl")])
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("effectgov: cannot write chain ") and stderr.count("\n") == 1
 
 
 # Documents no reader accepts: not UTF-8, not JSON, past the decoder's

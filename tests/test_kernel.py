@@ -1,6 +1,7 @@
 """Decision pipeline and the issue boundary."""
 
 import dataclasses
+import inspect
 import itertools
 import os
 import random
@@ -288,6 +289,111 @@ def test_a_handler_that_raises_an_exit_gets_its_failed_record_and_the_exit_goes_
     # The kernel's lock was let go: the next issue continues the chain.
     kernel.issue("odd.cap", {"n": 2}, "step", TrustLevel.AGENT, Phase.PLAN)
     assert kernel.chain.last_id == 2
+
+
+def issue_within_10_s(kernel, *args):
+    """kernel.issue(*args) in a daemon thread, so a deadlock fails the test, not hangs it."""
+    outcomes, errors = [], []
+
+    def issue():
+        try:
+            outcomes.append(kernel.issue(*args))
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=issue, daemon=True)
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive(), "the issue deadlocked"
+    assert errors == []
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("nested", ["issue_on_own", "issue_on_sharer", "append"])
+def test_a_handler_that_reenters_its_boundary_is_refused_and_its_issue_records_failed(nested):
+    # The nested call is refused before it builds anything, so it uses no id
+    # and leaves no record; the handler sees the refusal as an exception.
+    chain, effects, kernels = Chain(), [], []
+
+    def handler(world, directive):
+        effects.append(directive.id)
+        if nested == "append":
+            chain.append(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=99),
+                         DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+        else:
+            kernels[1 if nested == "issue_on_sharer" else 0].issue(
+                "email.send", {"to": "x"}, "nested", TrustLevel.AGENT, Phase.EXECUTE
+            )
+        return "done"
+
+    policy = Policy([email_rule()])
+    kernels += [GovernanceKernel(policy, HandlerRegistry({"email.send": handler}), None, chain)
+                for _ in range(2)]
+    outcome = issue_within_10_s(kernels[0], "email.send", {"to": "a"}, "outer",
+                                TrustLevel.AGENT, Phase.EXECUTE)
+    refused = "append to" if nested == "append" else "issue on"
+    assert outcome.error == f"RuntimeError: a handler cannot {refused} the chain it is recorded in"
+    assert effects == [1]
+    [record] = chain.records
+    assert record is outcome.record
+    assert (record.directive.id, record.exec_status) == (1, ExecStatus.FAILED)
+    assert chain.verify().valid
+    # The refusal lasts only while the handler runs: an issue and a plain
+    # append after it go on from id 1.
+    kernels[1].issue("email.send", {"to": "b"}, "next", TrustLevel.AGENT, Phase.PLAN)
+    chain.append(directive_for("email.send", TrustLevel.AGENT, Phase.EXECUTE, id=3),
+                 DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
+    assert [record.directive.id for record in chain.records] == [1, 2, 3]
+
+
+def test_a_handler_may_catch_the_refusal_and_its_issue_executes():
+    kernel = None
+
+    def handler(world, directive):
+        try:
+            kernel.issue("email.send", {"to": "x"}, "nested", TrustLevel.AGENT, Phase.EXECUTE)
+        except RuntimeError:
+            return "refused"
+        return "nested issue ran"
+
+    kernel = GovernanceKernel(Policy([email_rule()]), HandlerRegistry({"email.send": handler}),
+                              None)
+    outcome = issue_within_10_s(kernel, "email.send", {"to": "a"}, "outer",
+                                TrustLevel.AGENT, Phase.EXECUTE)
+    assert (outcome.exec_status, outcome.result) == (ExecStatus.EXECUTED, "refused")
+    assert [record.directive.id for record in kernel.chain.records] == [1]
+
+
+def test_an_exit_between_the_digest_and_the_status_records_failed_with_no_digest():
+    # A trace function that raises makes the exception arrive at that line
+    # of issue, as a signal's KeyboardInterrupt may: the digest is computed,
+    # and the status not yet executed.
+    kernel = fresh_kernel(Policy([email_rule()]))
+    code = GovernanceKernel.issue.__code__
+    lines, start = inspect.getsourcelines(code)
+    [target] = [start + offset for offset, line in enumerate(lines)
+                if line.strip() == "status = _EXECUTED"]
+    raised = KeyboardInterrupt("late")
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == target:
+            raise raised
+        return trace
+
+    sys.settrace(trace)
+    try:
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                         TrustLevel.AGENT, Phase.EXECUTE)
+    finally:
+        sys.settrace(None)
+    assert excinfo.value is raised
+    assert len(kernel.world.outbox) == 1
+    [record] = kernel.chain.records
+    assert (record.exec_status, record.result_digest) == (ExecStatus.FAILED, ZERO_DIGEST)
+    assert kernel.chain.verify().valid
 
 
 def test_registry_is_fixed_when_built_and_reports_capabilities():

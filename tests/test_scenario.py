@@ -160,6 +160,26 @@ def test_concat_refuses_a_value_with_no_text_form(value, type_name):
         single_step({"op": "concat", "parts": [{"op": "input"}]}, value)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("name", "", "emit name must be a non-empty string, got ''"),
+        ("name", 5, "emit name must be a non-empty string, got 5"),
+        ("kind", "Bad Kind", "effect kind 'Bad Kind': invalid character 'B' at index 0"),
+        ("phase", "warp", "unknown phase 'warp'"),
+    ],
+)
+def test_an_emit_with_a_bad_directive_field_is_refused_at_load(field, value, message):
+    good = {"name": "ok", "kind": "email.send", "params": {
+        "to": {"op": "const", "value": "a@b.c"}, "body": {"op": "input"},
+    }}
+    bad = {**good, field: value}
+    doc = {"input": "hi", "workflow": {"seq": [{"emit": good}, {"emit": bad}]}}
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(json.dumps(doc))
+    assert str(excinfo.value) == f"workflow.seq[1].emit: {message}"
+
+
 def test_error_paths_name_their_location():
     doc = {"input": 1, "workflow": {"seq": [
         {"step": {"name": "ok", "fn": {"op": "input"}}},

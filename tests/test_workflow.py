@@ -10,6 +10,7 @@ import pytest
 import effectgov
 from effectgov import (
     DecisionReason,
+    DirectiveError,
     EMPTY_POLICY,
     Phase,
     Policy,
@@ -298,6 +299,30 @@ def test_a_function_field_that_is_not_callable_is_refused_when_built(build, mess
     kernel = fresh_kernel(ALL_SIM)
     with pytest.raises(WorkflowError, match=f"^{re.escape(message)}$"):
         run(seq(email_emit(), build()), "v", kernel)
+    assert len(kernel.chain) == 0
+    assert kernel.world.outbox == ()
+
+
+@pytest.mark.parametrize(
+    "name, kind, phase, message",
+    [
+        ("", "email.send", Phase.EXECUTE, "emit name must be a non-empty string, got ''"),
+        (7, "email.send", Phase.EXECUTE, "emit name must be a non-empty string, got 7"),
+        ("bad", "Bad Kind", Phase.EXECUTE,
+         "effect kind 'Bad Kind': invalid character 'B' at index 0"),
+        ("bad", "", Phase.EXECUTE, "effect kind must not be empty"),
+        ("bad", 7, Phase.EXECUTE, "effect kind must be a string, got int"),
+        ("bad", "email.send", "execute", "phase must be a Phase, got 'execute'"),
+    ],
+    ids=["empty-name", "int-name", "bad-kind", "empty-kind", "int-kind", "wire-phase"],
+)
+def test_an_emit_with_a_bad_directive_field_is_refused_when_built(name, kind, phase, message):
+    # Checked only when issued, the second emit would fail after the first
+    # had sent and recorded its email.
+    kernel = fresh_kernel(ALL_SIM)
+    params_fn = lambda value: {"to": "a@b.c", "body": "hi"}
+    with pytest.raises(DirectiveError, match=f"^{re.escape(message)}$"):
+        run(seq(email_emit(), emit(name, kind, params_fn, phase)), "v", kernel)
     assert len(kernel.chain) == 0
     assert kernel.world.outbox == ()
 
