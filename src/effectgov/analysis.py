@@ -24,9 +24,9 @@ import numpy as np
 from .directives import Directive, Phase, TrustLevel, check_count, make_directive
 from .policy import Policy
 
-# Cap on exponential draws (one per trial) held at once; at 8 bytes each a
-# chunk stays under ~100 MB whatever the number of actions per trial.
-_CHUNK_BUDGET = 10_000_000
+# Exponential draws (one per trial) held at once: 512 KB of float64, which
+# fits in L2, whatever the number of trials or actions.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,20 @@ def gap_probability(coverage: float, actions: int) -> float:
     return -math.expm1(min(actions, 2**63) * math.log(coverage))
 
 
+def _breach_bound(scale: float, limit: float) -> float:
+    """The largest double x with x / scale <= limit, for scale > 0.
+
+    Correctly rounded division by a positive scale is monotone in x, so a
+    draw x is <= this bound exactly when x / scale <= limit.
+    """
+    bound = limit * scale
+    while bound / scale > limit:
+        bound = math.nextafter(bound, 0.0)
+    while math.nextafter(bound, math.inf) / scale <= limit:
+        bound = math.nextafter(bound, math.inf)
+    return bound
+
+
 def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> float:
     """Empirical gap frequency; the Monte Carlo check on gap_probability.
 
@@ -116,11 +130,14 @@ def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> f
     2/3 numpy's Generator.geometric(1 - coverage) is the ceiling of the
     same quotient over the same draws, so every seeded frequency equals the
     earlier geometric draw's; for coverage <= 2/3, where numpy draws
-    geometrics by search, seeded frequencies differ from it.
+    geometrics by search, seeded frequencies differ from it. Draws stream
+    through one buffer of _CHUNK doubles, so memory depends on neither
+    actions nor trials.
     """
     coverage = _validate_coverage(coverage)
     actions = check_count(actions, "actions", 0)
     trials = check_count(trials, "trials", 1)
+    seed = check_count(seed, "seed", 0)
     if actions == 0 or coverage == 1.0:
         return 0.0
     miss = 1.0 - coverage
@@ -132,17 +149,17 @@ def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> f
     limit = float(min(actions, 2**63))
     if limit > actions:
         limit = math.nextafter(limit, 0.0)
+    # Numpy's geometric inversion divides E by scale; E <= bound gives the
+    # verdict that quotient gives, with no divide per draw.
+    bound = _breach_bound(scale, limit)
     rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.empty(min(_CHUNK, trials))
+    below = np.empty(draws.size, dtype=bool)
     breached = 0
-    remaining = trials
-    while remaining > 0:
-        count = min(_CHUNK_BUDGET, remaining)
-        # Divide, not multiply by a reciprocal: the quotient rounds as
-        # numpy's geometric inversion rounds it.
-        first_miss = rng.standard_exponential(count)
-        first_miss /= scale
-        breached += int(np.count_nonzero(first_miss <= limit))
-        remaining -= count
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        chunk = rng.standard_exponential(out=draws[:count])
+        breached += int(np.count_nonzero(np.less_equal(chunk, bound, out=below[:count])))
     return breached / trials
 
 
@@ -157,10 +174,10 @@ def layered_cost(
     part of the workload either way and does not contribute to the added
     cost. An empty layer list is the structural case: nothing is added.
     """
-    if float(base_latency_per_action_ms) < 0.0:
-        raise ValueError("base latency must be non-negative")
+    if not 0.0 <= float(base_latency_per_action_ms) < math.inf:
+        raise ValueError("base latency must be finite and non-negative")
     layers = [float(latency) for latency in layer_latencies_ms]
-    if any(latency < 0.0 for latency in layers):
-        raise ValueError("layer latencies must be non-negative")
+    if not all(0.0 <= latency < math.inf for latency in layers):
+        raise ValueError("layer latencies must be finite and non-negative")
     actions = check_count(actions, "actions", 0)
     return actions * math.fsum(layers)

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +25,7 @@ from effectgov import (
     simulate_monitor,
     standard_registry,
 )
-from effectgov.analysis import enumerate_directive_space
+from effectgov.analysis import _breach_bound, enumerate_directive_space
 
 
 def policy_for(*capabilities):
@@ -174,24 +176,66 @@ def test_simulate_monitor_deterministic_for_seed():
     assert a != c
 
 
-def test_simulate_monitor_chunks_hold_at_most_the_budget(monkeypatch):
+def test_simulate_monitor_streams_through_one_buffer(monkeypatch):
     expected = simulate_monitor(0.97, 40, 20_000, seed=1234)
     sizes = []
+    bases = []
 
     class SpyGenerator(np.random.Generator):
-        def standard_exponential(self, size=None, *args, **kwargs):
-            sizes.append(size)
-            return super().standard_exponential(size, *args, **kwargs)
+        def standard_exponential(self, size=None, *args, out=None, **kwargs):
+            assert size is None
+            sizes.append(out.size)
+            bases.append(out.base)
+            return super().standard_exponential(*args, out=out, **kwargs)
 
-    monkeypatch.setattr(analysis, "_CHUNK_BUDGET", 3_000)
+    monkeypatch.setattr(analysis, "_CHUNK", 3_000)
     monkeypatch.setattr(analysis.np.random, "Generator", SpyGenerator)
     # Chunking consumes the stream in trial order, so it leaves the result
-    # unchanged; the chunk size does not grow with the number of actions.
+    # unchanged; every chunk is written into the one buffer, whose size grows
+    # with neither the number of trials nor the number of actions.
     assert simulate_monitor(0.97, 40, 20_000, seed=1234) == expected
     assert sizes == [3_000] * 6 + [2_000]
+    assert bases[0] is not None and all(base is bases[0] for base in bases)
     sizes.clear()
+    bases.clear()
     simulate_monitor(0.97, 10**15, 5_000, seed=1)
     assert sizes == [3_000, 2_000]
+    assert bases[0] is not None and all(base is bases[0] for base in bases)
+
+
+def _breach_cases():
+    """(scale, limit) pairs as simulate_monitor computes them."""
+    def scale(coverage):
+        return -math.log1p(-(1.0 - coverage))
+
+    cells = [(c, n) for c in (0.9, 0.99, 0.999) for n in (10, 100, 1000)]
+    cells += [(0.8362412164755296, 6), (0.9576364655312826, 3)]
+    cases = [(scale(coverage), float(actions)) for coverage, actions in cells]
+    # Past 2**53, where the limit's neighbours are 2 and 4 apart, and the
+    # 2**63 cap on the limit; both at the smallest miss probability.
+    tiny = scale(math.nextafter(1.0, 0.0))
+    return cases + [(tiny, float(2**53 + 2)), (tiny, float(2**63))]
+
+
+@pytest.mark.parametrize("scale, limit", _breach_cases())
+def test_breach_bound_is_the_largest_double_whose_quotient_is_in(scale, limit):
+    bound = _breach_bound(scale, limit)
+    assert bound / scale <= limit
+    assert math.nextafter(bound, math.inf) / scale > limit
+    draws = np.random.Generator(np.random.PCG64(7)).standard_exponential(200_000)
+    assert np.array_equal(draws <= bound, draws / scale <= limit)
+
+
+def test_simulate_monitor_memory_depends_on_neither_actions_nor_trials():
+    # Numpy registers its data buffers with tracemalloc, so a draw array
+    # sized by trials (8 MB here) would show in the peak.
+    tracemalloc.start()
+    try:
+        simulate_monitor(0.99, 10, 1_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def _geometric_is_exponential_inversion() -> bool:
@@ -277,6 +321,16 @@ def test_simulate_monitor_validates_arguments():
         simulate_monitor(1.2, 10, 10, seed=1)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "1", -1, None])
+def test_simulate_monitor_validates_seed(seed):
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_monitor(0.5, 10, 10, seed=seed)
+    # Checked before the cases that draw nothing.
+    with pytest.raises(ValueError, match="seed"):
+        simulate_monitor(1.0, 10, 10, seed=seed)
+
+
 def test_layered_cost_ten_ms_rule():
     assert layered_cost(0.0, [10.0], 1000) == 10_000.0
 
@@ -294,3 +348,8 @@ def test_layered_cost_validates():
         layered_cost(-1.0, [1.0], 10)
     with pytest.raises(ValueError):
         layered_cost(0.0, [-1.0], 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="base latency"):
+            layered_cost(bad, [1.0], 3)
+        with pytest.raises(ValueError, match="layer latencies"):
+            layered_cost(1.0, [1.0, bad], 2)

@@ -361,6 +361,16 @@ def test_simulate_monitor_zero_trials_is_usage_error(capsys):
     assert "trials" in stderr
 
 
+def test_simulate_monitor_negative_seed_is_usage_error(capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "simulate-monitor", "--coverage", "0.5", "--actions", "10",
+        "--trials", "10", "--seed", "-1",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "effectgov: seed must be an integer >= 0, got -1\n"
+
+
 def test_bench_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(
