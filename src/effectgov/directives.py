@@ -39,8 +39,9 @@ MAX_DIRECTIVE_ID = 2**64 - 1
 # Grammar for effect kinds. validate_kind accepts with it and, on
 # rejection, searches for the first fault: a character outside the
 # alphabet, or a '.' that starts, doubles or ends a segment. \Z, because $
-# would also match before a trailing newline.
-EFFECT_KIND_GRAMMAR = r"[a-z0-9_]+(\.[a-z0-9_]+)*"
+# would also match before a trailing newline. It captures no group, so the
+# chain-line recognizer that embeds it reads its own groups by position.
+EFFECT_KIND_GRAMMAR = r"[a-z0-9_]+(?:\.[a-z0-9_]+)*"
 _kind_fullmatch = re.compile(EFFECT_KIND_GRAMMAR).fullmatch
 _KIND_FAULT = r"[^a-z0-9_.]|(?<![a-z0-9_])\.|\.\Z"
 
@@ -240,19 +241,31 @@ def _render(id, kind, params, issuer, trust, phase) -> tuple[Mapping[str, Scalar
 
 
 def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) -> None:
-    """Fill a new directive's fields, in declaration order, then its bytes or None.
+    """Fill a new directive's slots, then its bytes or None.
 
-    Every construction path sets them this way, so all directives share one
-    key table; filling ``__dict__`` directly would give each its own dict,
-    about twice the memory per directive.
+    Every construction path fills them this way: straight through each
+    slot's descriptor, fetched once below, which the frozen class's
+    ``__setattr__`` would refuse and ``object.__setattr__`` would look up
+    by name on every call.
     """
-    _setattr(directive, "id", id)
-    _setattr(directive, "kind", kind)
-    _setattr(directive, "params", params)
-    _setattr(directive, "issuer", issuer)
-    _setattr(directive, "trust", trust)
-    _setattr(directive, "phase", phase)
-    _setattr(directive, "_canonical", canonical)
+    _set_id(directive, id)
+    _set_kind(directive, kind)
+    _set_params(directive, params)
+    _set_issuer(directive, issuer)
+    _set_trust(directive, trust)
+    _set_phase(directive, phase)
+    _set_canonical(directive, canonical)
+
+
+def _slot_state(self) -> list:
+    """Every slot's value, in declaration order: what ``copy`` carries."""
+    return [getattr(self, name) for name in self.__slots__]
+
+
+def _restore_slots(self, state) -> None:
+    """Fill a copy's slots from ``_slot_state``; the frozen setattr would refuse."""
+    for name, value in zip(self.__slots__, state):
+        _setattr(self, name, value)
 
 
 @dataclass(frozen=True, init=False)
@@ -265,6 +278,10 @@ class Directive:
     ``canonical`` then renders it again, to the same bytes. The capability
     it requires is its kind.
     """
+
+    __slots__ = ("id", "kind", "params", "issuer", "trust", "phase", "_canonical")
+    __getstate__ = _slot_state
+    __setstate__ = _restore_slots
 
     id: int
     kind: str
@@ -341,6 +358,11 @@ class Directive:
         directive = object.__new__(cls)
         _set_fields(directive, id, kind, MappingProxyType(params), issuer, trust, phase, None)
         return directive
+
+
+(_set_id, _set_kind, _set_params, _set_issuer, _set_trust, _set_phase, _set_canonical) = (
+    Directive.__dict__[name].__set__ for name in Directive.__slots__
+)
 
 
 def make_directive(

@@ -1,5 +1,6 @@
 """Chain linking, verification, tamper evidence and the JSONL format."""
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -82,6 +83,11 @@ def recompute_hash_independently(record):
     return digest.digest()
 
 
+def recognize(line: bytes):
+    """The recognizer over the whole of ``line``."""
+    return provenance_module._recognize(line, 0, len(line))
+
+
 DIRECTIVE_FIELDS = ("id", "kind", "params", "issuer", "trust", "phase", "canonical")
 RECORD_FIELDS = ("seq", "directive", "decision", "exec_status", "result_digest", "prev_hash",
                  "this_hash")
@@ -112,8 +118,8 @@ def appended_chain(directives):
 
 
 def test_every_construction_path_costs_the_same_memory():
-    # Filling an instance's __dict__ directly gives it a dict of its own,
-    # about twice the memory of the fields the constructor sets.
+    # Every path fills the same slots; one that left an instance a
+    # __dict__ of its own would cost about twice the memory of its fields.
     count = 1_000
     made = [directive(i + 1) for i in range(count)]
     blob = appended_chain(made).export()
@@ -130,6 +136,22 @@ def test_every_construction_path_costs_the_same_memory():
     for paths, fields in ((directives, DIRECTIVE_FIELDS), (records, RECORD_FIELDS)):
         costs = {path: bytes_per_object(build, fields) for path, build in paths.items()}
         assert max(costs.values()) <= 1.03 * min(costs.values()), costs
+
+
+def test_a_copy_of_a_record_equals_it():
+    # Slotted frozen classes: copy fills the copy's slots through their
+    # __setstate__, which the frozen __setattr__ would refuse. The second
+    # line takes the full parse on import, the first the recognizer.
+    made = [directive(1), directive(2, params={"q": 'k":v'})]
+    chain = appended_chain(made)
+    for records in (chain.records, import_chain(chain.export()).records):
+        for record in records:
+            for original in (record, record.directive):
+                copied = copy.copy(original)
+                assert copied == original and copied is not original
+            assert copy.copy(record.directive).canonical == record.directive.canonical
+    fresh = directive(9)
+    assert copy.copy(fresh) == fresh and copy.copy(fresh).canonical == fresh.canonical
 
 
 def retained_bytes(build) -> int:
@@ -151,7 +173,7 @@ def test_import_keeps_no_second_copy_of_the_lines():
     # copy of any line.
     blob = varied_chain(2_000, seed=20261018).export()
     lines = blob.split(b"\n")[:-1]
-    alone = retained_bytes(lambda: [provenance_module._recognize(line) for line in lines])
+    alone = retained_bytes(lambda: [recognize(line) for line in lines])
     imported = retained_bytes(lambda: import_chain(blob))
     assert (imported - alone) / len(lines) <= 64, (imported, alone)
 
@@ -242,7 +264,7 @@ def test_a_record_read_by_the_full_parse_renders_its_span_too():
     directives = [directive(i + 1, params={"q": 'k":v\u00e9', "\u2028": i}) for i in range(3)]
     chain = appended_chain(directives)
     blob = chain.export()
-    assert all(provenance_module._recognize(line) is None for line in blob.split(b"\n")[:-1])
+    assert all(recognize(line) is None for line in blob.split(b"\n")[:-1])
     assert_records_render_the_chain_bytes(chain)
     assert_records_render_the_chain_bytes(import_chain(blob))
 
@@ -468,6 +490,15 @@ def test_import_truncated_line_reports_line_number():
     assert excinfo.value.line_number == 4
 
 
+def test_import_reports_a_lone_surrogate_in_a_str_by_line():
+    text = build_chain(2, seed=4).export().decode("utf-8")
+    first, second = text.splitlines(keepends=True)
+    second = second.replace('"issuer":"s', '"issuer":"\ud800', 1)
+    with pytest.raises(ChainFormatError, match="^line 2: not valid JSON: ") as excinfo:
+        import_chain(first + second)
+    assert excinfo.value.line_number == 2
+
+
 def test_line_format_fixed_order_and_lowercase_hex():
     chain = build_chain(3, seed=8)
     pattern = re.compile(
@@ -629,7 +660,49 @@ def test_recognizer_takes_every_golden_line():
     # Every canonical line takes the recognizer's path, none the full parse.
     for make_chain in (build_chain, varied_chain):
         for line in make_chain(300, seed=20261018).export().split(b"\n")[:-1]:
-            assert provenance_module._recognize(line) is not None, line
+            assert recognize(line) is not None, line
+
+
+def test_recognizer_matches_each_line_in_place():
+    blob = varied_chain(3, seed=5).export()
+    lines = blob.split(b"\n")[:-1]
+    matcher = provenance_module._line_matcher()
+    start = 0
+    for line in lines:
+        end = start + len(line)
+        assert_same_records(provenance_module._recognize(blob, start, end), recognize(line))
+        in_place, fresh = matcher(blob, start, end), matcher(line)
+        assert in_place.groups() == fresh.groups()
+        assert [span[0] - start for span in in_place.regs] == [span[0] for span in fresh.regs]
+        assert provenance_module._recognize(blob, start + 1, end) is None
+        assert provenance_module._recognize(blob, start, end - 1) is None
+        start = end + 1
+
+
+def test_escape_dense_lines_skip_the_recognizer(monkeypatch):
+    # One group repeat per escape makes the grammar slower than the full
+    # parse past a few dozen escapes, so such a line never reaches it.
+    limit = provenance_module._MAX_RECOGNIZED_ESCAPES
+    chain = appended_chain([
+        directive(1, params={"body": '"' * limit}),
+        directive(2, params={"body": '"' * 10_000}),
+        directive(3),
+    ])
+    blob = chain.export()
+    matcher = provenance_module._line_matcher()
+    matched = []
+
+    def spy():
+        def match(data, start, end):
+            matched.append(data[start:end].count(b"\\"))
+            return matcher(data, start, end)
+
+        return match
+
+    monkeypatch.setattr(provenance_module, "_line_matcher", spy)
+    imported = import_chain(blob)
+    assert matched == [limit, 0]
+    assert imported == chain and imported.records == chain.records
 
 
 def import_by_full_parse(blob: bytes) -> Chain:
@@ -764,7 +837,7 @@ def test_recognizer_agrees_with_the_full_parse(data):
     lines = list(pick(oracle_lines()))
     index = pick(range(len(lines)))
     mutant = pick(MUTATIONS)(lines[index], pick)
-    recognized = provenance_module._recognize(mutant)
+    recognized = recognize(mutant)
     if recognized is not None:
         assert_same_records(recognized, provenance_module._parse_line(mutant, index))
     lines[index] = mutant
