@@ -222,7 +222,6 @@ _CANONICAL_TEMPLATE = (
 )
 # Read without the Enum descriptors, which run Python on every access.
 _TRUST_WIRE = {level: level.wire_name for level in TrustLevel}
-_setattr = object.__setattr__
 
 
 def _render(id, kind, params, issuer, trust, phase) -> tuple[Mapping[str, Scalar], bytes]:
@@ -243,10 +242,10 @@ def _render(id, kind, params, issuer, trust, phase) -> tuple[Mapping[str, Scalar
 def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) -> None:
     """Fill a new directive's slots, then its bytes or None.
 
-    Every construction path fills them this way: straight through each
-    slot's descriptor, fetched once below, which the frozen class's
-    ``__setattr__`` would refuse and ``object.__setattr__`` would look up
-    by name on every call.
+    Both construction paths, ``__init__`` and ``_from_canonical``, fill
+    them this way: straight through each slot's descriptor, fetched once
+    below, which the frozen class's ``__setattr__`` would refuse and
+    ``object.__setattr__`` would look up by name on every call.
     """
     _set_id(directive, id)
     _set_kind(directive, kind)
@@ -257,17 +256,6 @@ def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) ->
     _set_canonical(directive, canonical)
 
 
-def _slot_state(self) -> list:
-    """Every slot's value, in declaration order: what ``copy`` carries."""
-    return [getattr(self, name) for name in self.__slots__]
-
-
-def _restore_slots(self, state) -> None:
-    """Fill a copy's slots from ``_slot_state``; the frozen setattr would refuse."""
-    for name, value in zip(self.__slots__, state):
-        _setattr(self, name, value)
-
-
 @dataclass(frozen=True, init=False)
 class Directive:
     """One intended effect, described as inert data.
@@ -276,12 +264,11 @@ class Directive:
     identity is its content. The canonical encoding is rendered at
     construction and held until a chain appends it, which releases it;
     ``canonical`` then renders it again, to the same bytes. The capability
-    it requires is its kind.
+    it requires is its kind. ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    it through the constructor from its fields.
     """
 
     __slots__ = ("id", "kind", "params", "issuer", "trust", "phase", "_canonical")
-    __getstate__ = _slot_state
-    __setstate__ = _restore_slots
 
     id: int
     kind: str
@@ -320,6 +307,10 @@ class Directive:
         except ValueError as exc:
             raise DirectiveError(f"directive has no canonical encoding: {exc}") from None
         _set_fields(self, id, kind, params, issuer, trust, phase, canonical)
+
+    def __reduce__(self):
+        fields = (self.id, self.kind, dict(self.params), self.issuer, self.trust, self.phase)
+        return Directive, fields
 
     @property
     def required_capability(self) -> str:

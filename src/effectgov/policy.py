@@ -14,7 +14,6 @@ Policy file format (JSON, unknown fields rejected)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -58,7 +57,7 @@ class PolicyRule:
 
 @dataclass(frozen=True, init=False)
 class Policy:
-    """Immutable map capability -> rule, built from its rules once."""
+    """Immutable map capability -> rule, built from its rules once; copies rebuild it."""
 
     rules: Mapping[str, PolicyRule]
 
@@ -72,6 +71,9 @@ class Policy:
                 raise PolicyError(f"rules[{index}]: duplicate capability {rule.capability!r}")
             by_capability[rule.capability] = rule
         object.__setattr__(self, "rules", MappingProxyType(dict(sorted(by_capability.items()))))
+
+    def __reduce__(self):
+        return Policy, (tuple(self.rules.values()),)
 
 
 EMPTY_POLICY = Policy([])
@@ -113,18 +115,3 @@ def load_policy(document: bytes | str) -> Policy:
     return Policy(
         _rule_from_entry(entry, f"rules[{index}]") for index, entry in enumerate(entries)
     )
-
-
-def serialize_policy(policy: Policy) -> bytes:
-    """Stable JSON form; load_policy(serialize_policy(p)) == p."""
-    entries = [
-        {
-            "capability": rule.capability,
-            "min_trust": rule.min_trust.wire_name,
-            "allowed_phases": [
-                phase.value for phase in Phase if phase in rule.allowed_phases
-            ],
-        }
-        for _, rule in sorted(policy.rules.items())
-    ]
-    return (json.dumps({"rules": entries}, indent=2) + "\n").encode("utf-8")

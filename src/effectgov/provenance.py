@@ -46,6 +46,10 @@ directives are slotted, filled through their slot descriptors. A record's
 directive does not repeat the buffer's bytes: ``append`` releases the
 directive's canonical bytes once its line is in the buffer, and an imported
 directive never holds any; ``Directive.canonical`` renders them again.
+
+``copy``, ``deepcopy`` and ``pickle`` rebuild records and directives by
+their constructors from their fields, and a chain by ``import_chain`` from
+its bytes, so a copied chain shares only the immutable buffer.
 """
 
 from __future__ import annotations
@@ -68,9 +72,8 @@ from .directives import (
     Directive,
     Phase,
     TrustLevel,
-    _restore_slots,
+    _CANONICAL_TEMPLATE,
     _set_canonical,
-    _slot_state,
     directive_from_obj,
     load_json,
 )
@@ -117,8 +120,6 @@ class ProvenanceRecord:
     __slots__ = (
         "seq", "directive", "decision", "exec_status", "result_digest", "prev_hash", "this_hash"
     )
-    __getstate__ = _slot_state
-    __setstate__ = _restore_slots
 
     seq: int
     directive: Directive
@@ -147,6 +148,9 @@ class ProvenanceRecord:
         _set_result_digest(self, result_digest)
         _set_prev_hash(self, prev_hash)
         _set_this_hash(self, this_hash)
+
+    def __reduce__(self):
+        return ProvenanceRecord, tuple(getattr(self, name) for name in self.__slots__)
 
 
 (
@@ -190,9 +194,12 @@ def _record_body(
     )
 
 
+_TAIL = b',"this_hash":"%b"}'  # the line's last field, in place of the body's "}"
+
+
 def _with_this_hash(body: bytes, this_hash: bytes) -> bytes:
     """The chain line of a record body, with its newline."""
-    return b'%b,"this_hash":"%b"}\n' % (body[:-1], hexlify(this_hash))
+    return body[:-1] + _TAIL % hexlify(this_hash) + b"\n"
 
 
 def record_line(record: ProvenanceRecord) -> bytes:
@@ -208,11 +215,11 @@ def record_line(record: ProvenanceRecord) -> bytes:
     return _with_this_hash(body, record.this_hash)[:-1]
 
 
-# Width of the line's ',"this_hash":"<64 hex>"}' tail. Cutting it and
-# restoring the closing brace gives back the hashed body; every way into a
-# chain (append, and import's recognizer and full parse) holds this_hash
-# and result_digest to HASH_SIZE bytes.
-_TAIL_SIZE = len(b',"this_hash":""}') + 2 * HASH_SIZE
+# Width of the line's _TAIL, filled. Cutting it and restoring the closing
+# brace gives back the hashed body; every way into a chain (append, and
+# import's recognizer and full parse) holds this_hash and result_digest to
+# HASH_SIZE bytes.
+_TAIL_SIZE = len(_TAIL % bytes(2 * HASH_SIZE))
 
 
 def _link_hash(prev: bytes, data: bytes, start: int, end: int) -> bytes:
@@ -255,6 +262,7 @@ class Chain:
     refuses a record that breaks one, import_chain verifies) and records
     are immutable, so an invalid chain is unreachable through this API.
     There is deliberately no operation that removes or reorders records.
+    A copy is imported from the export, so it is verified again.
 
     The line bytes are stored once, in one buffer that is the export: every
     line with its trailing newline, and the offset of each line's newline,
@@ -294,6 +302,9 @@ class Chain:
         chain._data = data
         chain._ends = ends
         return chain
+
+    def __reduce__(self):
+        return import_chain, (self.export(),)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -428,13 +439,13 @@ def _parse_line(raw: bytes, index: int) -> ProvenanceRecord:
     return record
 
 
-# The canonical-line recognizer: one grammar for the whole record line, as
-# _record_body and the directive template write it. Strings are spelled
-# exactly as json.encoder.encode_basestring spells them, integers carry no
-# sign on zero and no leading zeros, each enum and the four consistent
-# decisions are listed, and required_capability repeats kind. Only string
-# bodies admit bytes outside ASCII, so decoding the issuer and the params
-# strictly checks the whole line's UTF-8.
+# The canonical-line recognizer: the writer's templates, literals escaped,
+# with one field pattern per placeholder. Strings are spelled exactly as
+# json.encoder.encode_basestring spells them, integers carry no sign on
+# zero and no leading zeros, each enum and the four consistent decisions
+# are listed, and required_capability repeats kind. Only string bodies
+# admit bytes outside ASCII, so decoding the issuer and the params strictly
+# checks the whole line's UTF-8.
 _PHASES = {phase.value.encode(): phase for phase in Phase}
 _TRUSTS = {level.wire_name.encode(): level for level in TrustLevel}
 _STATUSES = {status._wire: status for status in ExecStatus}
@@ -452,27 +463,27 @@ _PLAIN = r'[^"\\\x00-\x1f]*'
 _STRING = r'"%s(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))%s)*"' % (_PLAIN, _PLAIN)
 _PAIR = r"%s:(?:%s|%s|true|false)" % (_STRING, _STRING, _INTEGER)
 _HEX = r"[0-9a-f]{64}"
-_LINE_PATTERN = (
-    (
-        r'\{"seq":(?P<seq>%(nat)s),"directive":\{"id":(?P<id>%(nat)s),'
-        r'"issuer":(?P<issuer>(?!"")%(str)s),"kind":"(?P<kind>%(kind)s)",'
-        r'"params":(?P<params>\{(?:%(pair)s(?:,%(pair)s)*)?\}),"phase":"(?P<phase>%(phase)s)",'
-        r'"required_capability":"(?P=kind)","trust":"(?P<trust>%(trust)s)"\},'
-        r'"decision":(?P<decision>%(decision)s),"exec_status":"(?P<status>%(status)s)",'
-        r'"result_digest":"(?P<result>%(hex)s)","prev_hash":"(?P<prev>%(hex)s)",'
-        r'"this_hash":"(?P<this>%(hex)s)"\}'
-        % {
-            "nat": _NATURAL,
-            "str": _STRING,
-            "kind": EFFECT_KIND_GRAMMAR,
-            "pair": _PAIR,
-            "phase": _one_of(_PHASES),
-            "trust": _one_of(_TRUSTS),
-            "decision": _one_of(_DECISIONS),
-            "status": _one_of(_STATUSES),
-            "hex": _HEX,
-        }
-    ).encode("ascii")
+_LINE_FIELDS = (
+    "(?P<seq>%s)" % _NATURAL,
+    "(?P<id>%s)" % _NATURAL,
+    '(?P<issuer>(?!"")%s)' % _STRING,
+    "(?P<kind>%s)" % EFFECT_KIND_GRAMMAR,
+    r"(?P<params>\{(?:%s(?:,%s)*)?\})" % (_PAIR, _PAIR),
+    "(?P<phase>%s)" % _one_of(_PHASES),
+    "(?P=kind)",
+    "(?P<trust>%s)" % _one_of(_TRUSTS),
+    "(?P<decision>%s)" % _one_of(_DECISIONS),
+    "(?P<status>%s)" % _one_of(_STATUSES),
+    "(?P<result>%s)" % _HEX,
+    "(?P<prev>%s)" % _HEX,
+    "(?P<this>%s)" % _HEX,
+)
+# The body's first %b is its directive slot, and _TAIL takes its "}".
+_LINE_TEMPLATE = _BODY_TEMPLATE.replace(b"%b", _CANONICAL_TEMPLATE.encode(), 1)[:-1] + _TAIL
+_first, *_literals = re.split(rb"%[dsb]", _LINE_TEMPLATE)
+_LINE_PATTERN = re.escape(_first) + b"".join(
+    field.encode("ascii") + re.escape(literal)
+    for field, literal in zip(_LINE_FIELDS, _literals, strict=True)
 )
 
 

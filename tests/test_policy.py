@@ -1,6 +1,8 @@
 """Policy rules, capability lookup and the policy file format."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,6 @@ from effectgov import (
     TrustLevel,
     load_policy,
 )
-from effectgov.policy import serialize_policy
 
 
 def rule(capability="email.send", min_trust=TrustLevel.AGENT, phases=(Phase.EXECUTE,)):
@@ -147,8 +148,10 @@ policies = st.lists(
 
 @given(policies)
 @settings(max_examples=200)
-def test_serialize_load_roundtrip(policy):
-    assert load_policy(serialize_policy(policy)) == policy
+def test_copy_and_pickle_roundtrip(policy):
+    # A copy is rebuilt by Policy(rules), so it holds its own rule map.
+    for copied in (copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+        assert copied == policy and copied.rules is not policy.rules
 
 
 def test_duplicate_rule_construction_rejected():

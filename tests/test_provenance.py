@@ -4,7 +4,9 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
+import pickle
 import random
 import re
 import threading
@@ -138,20 +140,51 @@ def test_every_construction_path_costs_the_same_memory():
         assert max(costs.values()) <= 1.03 * min(costs.values()), costs
 
 
+def pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+COPIES = (copy.copy, copy.deepcopy, pickled)
+
+
 def test_a_copy_of_a_record_equals_it():
-    # Slotted frozen classes: copy fills the copy's slots through their
-    # __setstate__, which the frozen __setattr__ would refuse. The second
-    # line takes the full parse on import, the first the recognizer.
+    # Records and directives are rebuilt by their constructors from their
+    # fields. The second line takes the full parse on import, the first the
+    # recognizer.
     made = [directive(1), directive(2, params={"q": 'k":v'})]
     chain = appended_chain(made)
     for records in (chain.records, import_chain(chain.export()).records):
-        for record in records:
-            for original in (record, record.directive):
-                copied = copy.copy(original)
-                assert copied == original and copied is not original
-            assert copy.copy(record.directive).canonical == record.directive.canonical
+        for record, copy_of in itertools.product(records, COPIES):
+            copied = copy_of(record)
+            assert copied == record and copied is not record
+            assert record_line(copied) == record_line(record)
+            copied = copy_of(record.directive)
+            assert copied == record.directive and copied is not record.directive
+            assert copied.canonical == record.directive.canonical
     fresh = directive(9)
-    assert copy.copy(fresh) == fresh and copy.copy(fresh).canonical == fresh.canonical
+    policy = Policy([PolicyRule("note.write", TrustLevel.AGENT, frozenset({Phase.EXECUTE}))])
+    kernel = GovernanceKernel(policy, HandlerRegistry({"note.write": lambda world, d: "done"}), None)
+    outcome = kernel.issue("note.write", {"n": 1}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert outcome.result == "done"
+    for copy_of in COPIES:
+        assert copy_of(fresh) == fresh and copy_of(fresh).canonical == fresh.canonical
+        copied = copy_of(outcome)
+        assert copied == outcome and record_line(copied.record) == record_line(outcome.record)
+
+
+@pytest.mark.parametrize("copy_of", COPIES, ids=("copy", "deepcopy", "pickle"))
+def test_a_copied_chain_is_its_own(copy_of):
+    # A twin is imported from the export: an issue on it cannot reach the
+    # original's records, offsets or buffer.
+    original = import_chain(build_chain(3, seed=21).export())
+    exported = original.export()
+    twin = copy_of(original)
+    assert twin == original and twin.records == original.records
+    assert twin._records is not original._records and twin._ends is not original._ends
+    kernel = GovernanceKernel(Policy([]), HandlerRegistry({}), None, twin)
+    kernel.issue("note.write", {"n": 1}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert len(twin) == 4 and twin.verify().valid
+    assert len(original) == 3 and original.verify().valid and original.export() == exported
 
 
 def retained_bytes(build) -> int:
