@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .directives import Directive, Phase, TrustLevel, check_count, make_directive
+from .directives import Directive, Phase, TrustLevel, check_count
 from .policy import Policy
 
 # Exponential draws (one per trial) held at once: 512 KB of float64, which
@@ -72,7 +72,7 @@ def enumerate_directive_space(kinds: Iterable[str]) -> Iterator[Directive]:
     """
     counter = itertools.count(1)
     for kind, trust, phase in itertools.product(kinds, TrustLevel, Phase):
-        yield make_directive(kind, {}, "probe", trust, phase, next(counter))
+        yield Directive(next(counter), kind, {}, "probe", trust, phase)
 
 
 def _validate_coverage(coverage: float) -> float:

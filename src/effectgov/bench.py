@@ -24,13 +24,7 @@ import platform
 import time
 from dataclasses import asdict, dataclass
 
-from .directives import (
-    Directive,
-    Phase,
-    TrustLevel,
-    check_count,
-    make_directive,
-)
+from .directives import Directive, Phase, TrustLevel, check_count
 from .kernel import GovernanceKernel, HandlerRegistry
 from .policy import Policy, PolicyRule
 from .simworld import EMAIL_SEND, SimWorld, seeded_world, standard_registry
@@ -133,8 +127,8 @@ def bench_governed_vs_direct(iters: int = 50, warmup: int = 5) -> tuple[BenchRep
     counter = iter(range(1, iters + warmup + 1))
 
     def direct_once():
-        directive = make_directive(
-            EMAIL_SEND, _WORKLOAD_PARAMS, "bench", TrustLevel.AGENT, Phase.EXECUTE, next(counter)
+        directive = Directive(
+            next(counter), EMAIL_SEND, _WORKLOAD_PARAMS, "bench", TrustLevel.AGENT, Phase.EXECUTE
         )
         _invoke_direct(registry, direct_world, directive)
 

@@ -17,8 +17,7 @@ The chain is the one account: ids and theater hits are read from it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .decisions import (
     ALLOW_GRANTED,
@@ -91,11 +90,7 @@ def decide(policy: Policy, directive: Directive) -> Decision:
     return ALLOW_GRANTED
 
 
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     """What one issue produced: its record, and the result if any.
 
     The decision and exec status are read from the record; the chain keeps
@@ -105,18 +100,6 @@ class ExecutionOutcome:
     record: ProvenanceRecord
     result: Optional[Scalar]
     error: Optional[str] = None
-
-    def __init__(
-        self,
-        record: ProvenanceRecord,
-        result: Optional[Scalar],
-        error: Optional[str] = None,
-    ):
-        # The generated frozen __init__ looks up object.__setattr__ for each
-        # field; every issue builds one outcome.
-        _setattr(self, "record", record)
-        _setattr(self, "result", result)
-        _setattr(self, "error", error)
 
     @property
     def decision(self) -> Decision:

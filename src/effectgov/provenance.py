@@ -41,15 +41,17 @@ trailing newline, which ``export`` returns and then shares with the chain.
 ``import_chain`` adopts the caller's ``bytes`` as that buffer without
 splitting or copying it. Records stay built next to the buffer, because
 every reader of a chain reads its records, and decoding them again from the
-bytes would cost that reader the parse import already paid. Records and
-directives are slotted, filled through their slot descriptors. A record's
-directive does not repeat the buffer's bytes: ``append`` releases the
-directive's canonical bytes once its line is in the buffer, and an imported
-directive never holds any; ``Directive.canonical`` renders them again.
+bytes would cost that reader the parse import already paid. A record is a
+``NamedTuple`` of its fields and a directive a slotted frozen dataclass. A
+record's directive does not repeat the buffer's bytes: ``append`` releases
+the directive's canonical bytes once its line is in the buffer, and an
+imported directive never holds any; ``Directive.canonical`` renders them
+again.
 
-``copy``, ``deepcopy`` and ``pickle`` rebuild records and directives by
-their constructors from their fields, and a chain by ``import_chain`` from
-its bytes, so a copied chain shares only the immutable buffer.
+``copy``, ``deepcopy`` and ``pickle`` rebuild records from their fields as
+tuples, directives by their constructor (``__reduce__``), and a chain by
+``import_chain`` from its bytes, so a copied chain shares only the
+immutable buffer.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ import json
 import re
 import threading
 from binascii import hexlify, unhexlify
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .decisions import ALLOW_GRANTED, Decision, decision_from_obj
 from .directives import (
@@ -115,11 +116,13 @@ class ChainIntegrityError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True, init=False)
-class ProvenanceRecord:
-    __slots__ = (
-        "seq", "directive", "decision", "exec_status", "result_digest", "prev_hash", "this_hash"
-    )
+class ProvenanceRecord(NamedTuple):
+    """One chain entry, as the tuple of its fields.
+
+    It compares, copies and pickles by those fields, so it also equals the
+    plain tuple of the same values; nothing in this package compares a
+    record with anything but a record.
+    """
 
     seq: int
     directive: Directive
@@ -129,43 +132,8 @@ class ProvenanceRecord:
     prev_hash: bytes
     this_hash: bytes
 
-    def __init__(
-        self,
-        seq: int,
-        directive: Directive,
-        decision: Decision,
-        exec_status: ExecStatus,
-        result_digest: bytes,
-        prev_hash: bytes,
-        this_hash: bytes,
-    ):
-        # Filled through the slot descriptors, as Directive's fields are:
-        # append and import build one record per line.
-        _set_seq(self, seq)
-        _set_directive(self, directive)
-        _set_decision(self, decision)
-        _set_exec_status(self, exec_status)
-        _set_result_digest(self, result_digest)
-        _set_prev_hash(self, prev_hash)
-        _set_this_hash(self, this_hash)
 
-    def __reduce__(self):
-        return ProvenanceRecord, tuple(getattr(self, name) for name in self.__slots__)
-
-
-(
-    _set_seq,
-    _set_directive,
-    _set_decision,
-    _set_exec_status,
-    _set_result_digest,
-    _set_prev_hash,
-    _set_this_hash,
-) = (ProvenanceRecord.__dict__[name].__set__ for name in ProvenanceRecord.__slots__)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     first_bad_index: Optional[int] = None
 
@@ -260,7 +228,7 @@ class Chain:
     verdict is deny, and has a non-zero result digest only if executed.
     Every construction path keeps these rules (a new chain is empty, append
     refuses a record that breaks one, import_chain verifies) and records
-    are immutable, so an invalid chain is unreachable through this API.
+    are tuples, so an invalid chain is unreachable through this API.
     There is deliberately no operation that removes or reorders records.
     A copy is imported from the export, so it is verified again.
 
@@ -478,20 +446,21 @@ _LINE_FIELDS = (
     "(?P<prev>%s)" % _HEX,
     "(?P<this>%s)" % _HEX,
 )
-# The body's first %b is its directive slot, and _TAIL takes its "}".
-_LINE_TEMPLATE = _BODY_TEMPLATE.replace(b"%b", _CANONICAL_TEMPLATE.encode(), 1)[:-1] + _TAIL
-_first, *_literals = re.split(rb"%[dsb]", _LINE_TEMPLATE)
-_LINE_PATTERN = re.escape(_first) + b"".join(
-    field.encode("ascii") + re.escape(literal)
-    for field, literal in zip(_LINE_FIELDS, _literals, strict=True)
-)
 
 
-# Compiled on the first import_chain, not at import: compiling takes a few
-# ms, which processes that never import a chain would pay for nothing.
+# Built and compiled on the first import_chain, not at import: that takes a
+# few ms, which processes that never import a chain would pay for nothing.
+# A template edit that adds or drops a field fails the zip there.
 @functools.cache
 def _line_matcher():
-    return re.compile(_LINE_PATTERN).fullmatch
+    # The body's first %b is its directive slot, and _TAIL takes its "}".
+    template = _BODY_TEMPLATE.replace(b"%b", _CANONICAL_TEMPLATE.encode(), 1)[:-1] + _TAIL
+    first, *literals = re.split(rb"%[dsb]", template)
+    pattern = re.escape(first) + b"".join(
+        field.encode("ascii") + re.escape(literal)
+        for field, literal in zip(_LINE_FIELDS, literals, strict=True)
+    )
+    return re.compile(pattern).fullmatch
 
 
 # The C scanner json.loads drives, without the Python frames around it: a

@@ -1,6 +1,5 @@
 """Decision pipeline and the issue boundary."""
 
-import dataclasses
 import inspect
 import itertools
 import os
@@ -144,20 +143,29 @@ def test_submit_allowed_email():
     assert kernel.chain.records[0].exec_status is ExecStatus.EXECUTED
 
 
-def test_execution_outcome_keeps_its_dataclass_behaviour():
+@pytest.mark.parametrize("part", ("outcome", "record"))
+def test_execution_outcome_is_a_value(part):
+    # An outcome and its record are tuples of their fields: built, shown,
+    # compared and replaced by them, and never assigned to.
     kernel = fresh_kernel(Policy([email_rule()]))
     outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step1",
                            TrustLevel.AGENT, Phase.EXECUTE)
-    record = outcome.record
-    assert repr(outcome) == f"ExecutionOutcome(record={record!r}, result='sent', error=None)"
-    assert outcome == ExecutionOutcome(record, "sent")
-    assert outcome == ExecutionOutcome(record=record, result="sent", error=None)
-    assert outcome != ExecutionOutcome(record, "sent", "boom")
-    failed = dataclasses.replace(outcome, result=None, error="boom")
-    assert (failed.record, failed.result, failed.error) == (record, None, "boom")
-    assert dataclasses.replace(failed, result="sent", error=None) == outcome
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        outcome.result = "other"
+    assert outcome == ExecutionOutcome(outcome.record, "sent")
+    value = outcome if part == "outcome" else outcome.record
+    kind = type(value)
+    fields = value._asdict()
+    shown = ", ".join(f"{name}={field!r}" for name, field in fields.items())
+    assert repr(value) == f"{kind.__name__}({shown})"
+    assert value == kind(*fields.values()) == kind(**fields)
+    last = kind._fields[-1]
+    changed = value._replace(**{last: "boom"})
+    assert changed != value and getattr(changed, last) == "boom"
+    assert changed[:-1] == value[:-1]
+    assert changed._replace(**{last: fields[last]}) == value
+    with pytest.raises(AttributeError):
+        setattr(value, last, "other")
+    with pytest.raises(AttributeError):
+        value.extra = "other"
 
 
 def test_submit_denied_browse_leaves_world_unchanged():

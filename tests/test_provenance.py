@@ -1,7 +1,6 @@
 """Chain linking, verification, tamper evidence and the JSONL format."""
 
 import copy
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -148,15 +147,15 @@ COPIES = (copy.copy, copy.deepcopy, pickled)
 
 
 def test_a_copy_of_a_record_equals_it():
-    # Records and directives are rebuilt by their constructors from their
-    # fields. The second line takes the full parse on import, the first the
-    # recognizer.
+    # Records, outcomes and reports are rebuilt from their fields as tuples,
+    # directives by their constructor. The second line takes the full parse
+    # on import, the first the recognizer.
     made = [directive(1), directive(2, params={"q": 'k":v'})]
     chain = appended_chain(made)
     for records in (chain.records, import_chain(chain.export()).records):
         for record, copy_of in itertools.product(records, COPIES):
             copied = copy_of(record)
-            assert copied == record and copied is not record
+            assert copied == record and copied is not record and type(copied) is type(record)
             assert record_line(copied) == record_line(record)
             copied = copy_of(record.directive)
             assert copied == record.directive and copied is not record.directive
@@ -170,6 +169,8 @@ def test_a_copy_of_a_record_equals_it():
         assert copy_of(fresh) == fresh and copy_of(fresh).canonical == fresh.canonical
         copied = copy_of(outcome)
         assert copied == outcome and record_line(copied.record) == record_line(outcome.record)
+        report = copy_of(chain.verify())
+        assert report == chain.verify() and type(report) is type(chain.verify())
 
 
 @pytest.mark.parametrize("copy_of", COPIES, ids=("copy", "deepcopy", "pickle"))
@@ -278,7 +279,7 @@ def assert_records_render_the_chain_bytes(chain: Chain) -> None:
         twin = Directive(directive.id, directive.kind, directive.params, directive.issuer,
                          directive.trust, directive.phase)
         assert twin == directive and twin._canonical == span
-        assert record_line(dataclasses.replace(record, directive=twin)) == line
+        assert record_line(record._replace(directive=twin)) == line
         appended = again.append(twin, record.decision, record.exec_status, record.result_digest)
         assert twin._canonical is None
         assert twin.canonical == span and record_line(appended) == line
