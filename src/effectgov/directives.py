@@ -13,14 +13,14 @@ bytes ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
 ensure_ascii=False)`` gives; they are built here by one scalar renderer,
 ``_scalar_json``, and a fixed template for the directive's seven keys.
 
-A directive is built in one pass: ``Directive.__init__`` checks the fields
-in a fixed order (id, kind, issuer, trust, phase, params), renders the
-params and the canonical bytes, and stores every field once. It holds the
-bytes only until a chain appends them: the chain's buffer then holds the
-line, and ``Directive.canonical`` renders the bytes again on the rare later
+A directive is built in one pass: ``Directive.__init__``, which the kernel
+calls directly, checks the fields in a fixed order (id, kind, issuer,
+trust, phase, params), renders the params and the canonical bytes, and
+stores every field once. It holds the bytes only until a chain appends
+them, and ``Directive.canonical`` renders them again on the rare later
 read. The chain importer adopts fields it has proved canonical through
-``Directive._from_canonical``, which stores the fields the same way and no
-bytes.
+``Directive._from_canonical``, which stores no bytes. Directives compare
+and hash by their six fields, never by the bytes.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ Scalar = Union[str, int, bool]
 
 MAX_DIRECTIVE_ID = 2**64 - 1
 
-# Grammar for effect kinds. validate_kind accepts with it and, on
-# rejection, searches for the first fault: a character outside the
-# alphabet, or a '.' that starts, doubles or ends a segment. \Z, because $
-# would also match before a trailing newline. It captures no group, so the
-# chain-line recognizer that embeds it reads its own groups by position.
-EFFECT_KIND_GRAMMAR = r"[a-z0-9_]+(?:\.[a-z0-9_]+)*"
+# Grammar for effect kinds: [a-z0-9_]+ segments joined by '.', read as one
+# run with no '..' and no '.' at an end, as a group repeated per segment
+# keeps matcher state for each (40 MB on a 600 KB kind). validate_kind
+# accepts with it and, on rejection, searches for the first fault. \Z,
+# because $ would also match before a trailing newline. It captures no group,
+# so the chain-line recognizer that embeds it reads its own groups by position.
+EFFECT_KIND_GRAMMAR = r"(?![a-z0-9_.]*\.\.)[a-z0-9_][a-z0-9_.]*(?<!\.)"
 _kind_fullmatch = re.compile(EFFECT_KIND_GRAMMAR).fullmatch
 _KIND_FAULT = r"[^a-z0-9_.]|(?<![a-z0-9_])\.|\.\Z"
 
@@ -174,14 +175,17 @@ def _scalar_json(value) -> str | None:
 
 
 def canonical_value_bytes(value: Scalar) -> bytes:
-    """Canonical encoding of a single scalar (handler results use this)."""
+    """Canonical encoding of a single scalar (handler results use this).
+
+    Raises DirectiveError, ``non-scalar <type>`` for any other value.
+    """
     try:
         text = _scalar_json(value)
         if text is not None:
             return text.encode("utf-8")
     except ValueError as exc:
         raise DirectiveError(f"value has no canonical encoding: {exc}") from None
-    raise DirectiveError(f"not a scalar: {type(value).__name__}")
+    raise DirectiveError(f"non-scalar {type(value).__name__}")
 
 
 def _render_params(params) -> tuple[Mapping[str, Scalar], str]:
@@ -312,6 +316,10 @@ class Directive:
         fields = (self.id, self.kind, dict(self.params), self.issuer, self.trust, self.phase)
         return Directive, fields
 
+    def __hash__(self):  # params are key-sorted, so equal directives list equal items
+        items = tuple(self.params.items())
+        return hash((self.id, self.kind, items, self.issuer, self.trust, self.phase))
+
     @property
     def required_capability(self) -> str:
         return self.kind
@@ -354,21 +362,6 @@ class Directive:
 (_set_id, _set_kind, _set_params, _set_issuer, _set_trust, _set_phase, _set_canonical) = (
     Directive.__dict__[name].__set__ for name in Directive.__slots__
 )
-
-
-def make_directive(
-    kind: str,
-    params: Mapping[str, Scalar],
-    issuer: str,
-    trust: TrustLevel,
-    phase: Phase,
-    id: int,
-) -> Directive:
-    """``Directive(id, ...)`` with the id last; ``GovernanceKernel.issue`` is its one caller.
-
-    The benchmark tracer counts its calls per issue by this name.
-    """
-    return Directive(id, kind, params, issuer, trust, phase)
 
 
 _DIRECTIVE_KEYS = frozenset(

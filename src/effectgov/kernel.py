@@ -1,11 +1,12 @@
 """The single governance boundary.
 
 ``GovernanceKernel.issue`` is the only path from a directive to a world
-mutation. It builds the directive, runs the syntactic decision pipeline
-(capability, then trust, then phase; the first failing check names the
-deny reason), executes allowed effects through a registered handler, and
-appends one provenance record per directive, denials included. There is
-no bypass: nothing else in this package can reach a handler.
+mutation. It builds the directive (``Directive``, bound as
+``make_directive``), runs the syntactic decision pipeline (capability,
+then trust, then phase; the first failing check names the deny reason),
+executes allowed effects through a registered handler, and appends one
+provenance record per directive, denials included. There is no bypass:
+nothing else in this package can reach a handler.
 
 decide() is a pure function of (policy, directive). Each issue holds its
 chain's lock, the boundary's only lock, from the id read through the
@@ -34,11 +35,12 @@ from .directives import (
     Scalar,
     TrustLevel,
     canonical_value_bytes,
-    make_directive,
     validate_kind,
 )
 from .policy import Policy
 from .provenance import Chain, ExecStatus, ProvenanceRecord, ZERO_DIGEST
+
+make_directive = Directive  # the name perfbench's tracer patches to count builds per issue
 
 # Module globals, because an issue takes one or two and a global loads far
 # faster than an Enum attribute.
@@ -178,7 +180,9 @@ class GovernanceKernel:
 
         Atomic per directive, also against other writers of the same chain.
         Its id is one above the chain's ``last_id``, so a resumed chain
-        continues, and a directive never built uses no id. A handler's
+        continues, and a directive never built uses no id. A result that is
+        not a scalar, say a list, fails with ``DirectiveError: non-scalar
+        list``, the error ``canonical_value_bytes`` raises. A handler's
         ``SystemExit``, ``KeyboardInterrupt`` or ``GeneratorExit`` is
         recorded as failed and then raised on. A handler's own issue or
         append on this chain raises RuntimeError and builds nothing.
@@ -186,7 +190,7 @@ class GovernanceKernel:
         with self._chain._lock:
             if self._chain._in_issue:
                 raise RuntimeError("a handler cannot issue on the chain it is recorded in")
-            directive = make_directive(kind, params, issuer, trust, phase, self._chain.last_id + 1)
+            directive = make_directive(self._chain.last_id + 1, kind, params, issuer, trust, phase)
             decision = decide(self._policy, directive)
             result = error = None
             status = _SKIPPED
@@ -197,8 +201,6 @@ class GovernanceKernel:
                 if status is _FAILED:
                     self._chain._in_issue = True
                     result = handler(self._world, directive)
-                    if not isinstance(result, (str, int, bool)):
-                        raise HandlerError(f"handler returned non-scalar {type(result).__name__}")
                     digest = hashlib.sha256(canonical_value_bytes(result)).digest()
                     status = _EXECUTED
             except Exception as exc:

@@ -75,6 +75,9 @@ class Policy:
     def __reduce__(self):
         return Policy, (tuple(self.rules.values()),)
 
+    def __hash__(self):  # rules are key-sorted, so equal policies list equal rules
+        return hash(tuple(self.rules.values()))
+
 
 EMPTY_POLICY = Policy([])
 

@@ -30,11 +30,11 @@ valid record, so the record is built from the match's groups: only the
 params, and an issuer holding an escape, go through the C JSON scanner;
 the line is not parsed as a whole, nor the directive rendered, nor the
 record rendered back for comparison. A line it rejects, or one dense with
-escapes, which the grammar reads slower than the JSON parser, is sliced
-and parsed in full (JSON, field checks, then a re-render compared with the
-line's bytes), which names the fault, so errors do not depend on the path.
-Links and the other ``Chain`` rules are then checked over the line bytes,
-as ``Chain.verify`` does.
+escapes or with more than 256 params, which the grammar reads slower or in
+more memory than the JSON parser, is sliced and parsed in full (JSON, field
+checks, then a re-render compared with the line's bytes), which names the
+fault, so errors do not depend on the path. Links and the other ``Chain``
+rules are then checked over the line bytes, as ``Chain.verify`` does.
 
 A chain stores its line bytes once: one buffer, every line with its
 trailing newline, which ``export`` returns and then shares with the chain.
@@ -257,20 +257,6 @@ class Chain:
         # only that handler sees it: it may not issue or append here.
         self._in_issue = False
 
-    @classmethod
-    def _adopt(cls, records: list, data: bytes, ends: list) -> "Chain":
-        """Chain of records over their canonical lines in ``data``, if they verify."""
-        index = _first_bad_index(records, data, ends)
-        if index is not None:
-            raise ChainIntegrityError(
-                index, "record breaks a chain rule (seq, link, id, status or digest)"
-            )
-        chain = cls()
-        chain._records = records
-        chain._data = data
-        chain._ends = ends
-        return chain
-
     def __reduce__(self):
         return import_chain, (self.export(),)
 
@@ -431,12 +417,16 @@ _PLAIN = r'[^"\\\x00-\x1f]*'
 _STRING = r'"%s(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))%s)*"' % (_PLAIN, _PLAIN)
 _PAIR = r"%s:(?:%s|%s|true|false)" % (_STRING, _STRING, _INTEGER)
 _HEX = r"[0-9a-f]{64}"
+# The grammar keeps matcher state per params pair: a line of 10,000 params
+# peaks at 78 times its size, against 25 for the full parse, which any line
+# past this many params takes.
+_MAX_RECOGNIZED_PARAMS = 256
 _LINE_FIELDS = (
     "(?P<seq>%s)" % _NATURAL,
     "(?P<id>%s)" % _NATURAL,
     '(?P<issuer>(?!"")%s)' % _STRING,
     "(?P<kind>%s)" % EFFECT_KIND_GRAMMAR,
-    r"(?P<params>\{(?:%s(?:,%s)*)?\})" % (_PAIR, _PAIR),
+    r"(?P<params>\{(?:%s(?:,%s){0,%d})?\})" % (_PAIR, _PAIR, _MAX_RECOGNIZED_PARAMS - 1),
     "(?P<phase>%s)" % _one_of(_PHASES),
     "(?P=kind)",
     "(?P<trust>%s)" % _one_of(_TRUSTS),
@@ -482,10 +472,11 @@ def _recognize(data: bytes, start: int, end: int) -> Optional[ProvenanceRecord]:
     by the grammar and the checks below, the line ``record_line`` renders
     for the record returned, so the line is not parsed as a whole nor
     rendered back. None only means the recognizer does not vouch for the
-    line (more than ``_MAX_RECOGNIZED_ESCAPES`` backslashes, an integer past
-    the int-string limit, an id past 64 bits, params keys out of order or
-    repeated, bad UTF-8, or any spelling the grammar lacks); the caller then
-    parses it in full and names the fault.
+    line (more than ``_MAX_RECOGNIZED_ESCAPES`` backslashes or
+    ``_MAX_RECOGNIZED_PARAMS`` params, an integer past the int-string limit,
+    an id past 64 bits, params keys out of order or repeated, bad UTF-8, or
+    any spelling the grammar lacks); the caller then parses it in full and
+    names the fault.
     """
     if data.count(b"\\", start, end) > _MAX_RECOGNIZED_ESCAPES:
         return None
@@ -555,4 +546,11 @@ def import_chain(data: bytes) -> Chain:
         records.append(record)
         ends.append(end)
         start = end + 1
-    return Chain._adopt(records, data, ends)
+    index = _first_bad_index(records, data, ends)
+    if index is not None:
+        raise ChainIntegrityError(
+            index, "record breaks a chain rule (seq, link, id, status or digest)"
+        )
+    chain = Chain()
+    chain._records, chain._data, chain._ends = records, data, ends
+    return chain

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import random
 import re
+import tracemalloc
 
 from effectgov import (
     Chain,
@@ -26,13 +27,27 @@ from effectgov import (
     standard_registry,
 )
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY
-from effectgov.directives import make_directive
+from effectgov.directives import Directive
 from effectgov.provenance import ZERO_DIGEST
 from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq, run
 
 SIM_KINDS = sorted(standard_registry().capabilities())
 ALL_PHASES = list(Phase)
 ALL_TRUST = list(TrustLevel)
+
+
+def peak_bytes(run) -> int:
+    """Traced peak while ``run()`` runs, above what was held before it."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def random_policy(rng: random.Random, capabilities=SIM_KINDS) -> Policy:
@@ -184,8 +199,8 @@ def disagreeing_status_lines() -> list[bytes]:
         (2, ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST),
         (3, ALLOW_GRANTED, ExecStatus.HANDLER_MISSING, ZERO_DIGEST),
     ):
-        directive = make_directive("email.send", {"to": "a@b.c", "body": "hi"}, "step",
-                                   TrustLevel.AGENT, Phase.EXECUTE, id)
+        directive = Directive(id, "email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                              TrustLevel.AGENT, Phase.EXECUTE)
         chain.append(directive, decision, status, digest)
     lines = chain.export().split(b"\n")[:-1]
     edits = [(b'"exec_status":"skipped"', b'"exec_status":"executed"'),

@@ -39,7 +39,7 @@ from effectgov import (
 from effectgov.bench import REFERENCE_MEDIANS_MS
 from effectgov.cli import main as cli_main
 from effectgov.decisions import DENY_NO_CAPABILITY
-from effectgov.directives import make_directive
+from effectgov.directives import Directive
 from effectgov.provenance import ZERO_DIGEST
 
 from support import (
@@ -279,8 +279,8 @@ def test_criterion_10_one_record_per_issue_whatever_the_handler_does():
                     if behaviour == "exits":
                         raise HandlerExit(directive.id)
                     if behaviour == "appends":
-                        nested = make_directive(kind, directive.params, "nested", directive.trust,
-                                                directive.phase, directive.id + 1)
+                        nested = Directive(directive.id + 1, kind, directive.params, "nested",
+                                           directive.trust, directive.phase)
                         chain.append(nested, DENY_NO_CAPABILITY, ExecStatus.SKIPPED, ZERO_DIGEST)
                     elif behaviour != "returns":
                         # Issue i + 1 runs on kernels[i % 2]; the other one shares its chain.

@@ -31,7 +31,7 @@ from effectgov import (
 )
 from effectgov.analysis import enumerate_directive_space
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY, Decision, decision_from_obj
-from effectgov.directives import make_directive
+from effectgov.directives import Directive
 from effectgov.kernel import ExecutionOutcome
 from effectgov.provenance import ZERO_DIGEST
 
@@ -50,7 +50,7 @@ def reference_decision(rule, directive):
 
 
 def directive_for(kind, trust, phase, id=1):
-    return make_directive(kind, valid_params_for(kind, random.Random(0)), "step", trust, phase, id)
+    return Directive(id, kind, valid_params_for(kind, random.Random(0)), "step", trust, phase)
 
 
 def email_rule(min_trust=TrustLevel.AGENT, phases=(Phase.EXECUTE,)):
@@ -117,7 +117,7 @@ def test_decision_allow_iff_granted():
 @settings(max_examples=300)
 def test_decide_total_and_pure(kind, trust, phase, seed):
     policy = random_policy(random.Random(seed), ["email.send", "db.query", "web.browse"])
-    directive = make_directive(kind, {}, "s", trust, phase, 1)
+    directive = Directive(1, kind, {}, "s", trust, phase)
     first = decide(policy, directive)
     assert isinstance(first, Decision)
     assert decide(policy, directive) == first

@@ -187,6 +187,14 @@ def test_policy_is_its_rules_sorted_and_read_only():
         policy.rules["email.send"] = rule()
 
 
+def test_equal_policies_hash_equal():
+    # Equal rule sets, given in any order, make one policy and one hash.
+    policy = Policy([rule("web.browse"), rule("db.query")])
+    same = Policy([rule("db.query"), rule("web.browse")])
+    assert hash(policy) == hash(same) and len({policy, same, copy.deepcopy(policy)}) == 1
+    assert len({policy, Policy([rule("db.query")]), Policy([])}) == 3
+
+
 def test_rule_refuses_a_trust_or_phase_of_the_wrong_type():
     with pytest.raises(PolicyError, match="min_trust must be a TrustLevel, got 'agent'"):
         PolicyRule(capability="email.send", min_trust="agent",
