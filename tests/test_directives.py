@@ -226,13 +226,19 @@ FIELD_FAULTS = [
 ]
 
 
+def replaced(**fields):
+    """A valid directive with every field replaced; ``replace`` runs the same checks."""
+    return dataclasses.replace(d(), **fields)
+
+
+@pytest.mark.parametrize("build", [replaced, Directive])
 @pytest.mark.parametrize("first", range(len(FIELD_FAULTS)), ids=[f[0] for f in FIELD_FAULTS])
-def test_first_fault_in_field_order_is_reported(first):
+def test_first_fault_in_field_order_is_reported(build, first):
     fields = dict(id=1, kind="a.b", params={}, issuer="s", trust=TrustLevel.AGENT, phase=Phase.PLAN)
     for name, bad, _ in FIELD_FAULTS[first:]:
         fields[name] = bad
     with pytest.raises(DirectiveError) as excinfo:
-        Directive(**fields)
+        build(**fields)
     assert str(excinfo.value) == FIELD_FAULTS[first][2]
 
 
