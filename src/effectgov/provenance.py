@@ -20,8 +20,10 @@ bit-exact reproducible from the record's fields alone. ``Chain.append``
 builds the line as bytes in one formatting step: the directive's canonical
 bytes, held since the directive was built, go in as they are, next to the
 decision's and status's precomputed wire bytes and the hex of the digests;
-nothing is decoded and re-encoded. Once the line is in the buffer, the
-directive lets its own copy of those bytes go.
+nothing is decoded and re-encoded. That body is hashed after the previous
+link without joining the two, and copied once, into the buffer, where the
+``this_hash`` field and the newline take its closing brace. Once the line
+is in the buffer, the directive lets its own copy of those bytes go.
 
 ``import_chain`` reads each line in place: one compiled recognizer for that
 canonical line is matched over the line's span of the buffer, with no
@@ -303,17 +305,20 @@ class Chain:
             last_id = self.last_id
             if directive.id <= last_id:
                 raise ValueError(f"directive id {directive.id} is not above the last id {last_id}")
-            seq = len(self._records)
-            prev = self.tip
-            body = _record_body(seq, directive, decision, exec_status, result_digest, prev)
-            this = hashlib.sha256(prev + body).digest()
-            record = ProvenanceRecord(
-                seq, directive, decision, exec_status, result_digest, prev, this
-            )
             data = self._data
             if type(data) is bytes:  # empty, imported or exported: copy it once
                 data = self._data = bytearray(data)
-            data += _with_this_hash(body, this)
+            seq = len(self._records)
+            prev = self.tip
+            body = _record_body(seq, directive, decision, exec_status, result_digest, prev)
+            link = hashlib.sha256(prev)
+            link.update(body)
+            this = link.digest()
+            record = ProvenanceRecord(
+                seq, directive, decision, exec_status, result_digest, prev, this
+            )
+            data += body
+            data[-1:] = _TAIL % hexlify(this) + b"\n"  # the body's "}" becomes the tail
             _set_canonical(directive, None)  # the buffer holds them now
             self._ends.append(len(data) - 1)
             self._records.append(record)
@@ -478,7 +483,9 @@ def _recognize(data: bytes, start: int, end: int) -> Optional[ProvenanceRecord]:
     any spelling the grammar lacks); the caller then parses it in full and
     names the fault.
     """
-    if data.count(b"\\", start, end) > _MAX_RECOGNIZED_ESCAPES:
+    # Most lines hold none; find skips them faster than count, byte by byte.
+    escape = data.find(b"\\", start, end)
+    if escape >= 0 and data.count(b"\\", escape, end) > _MAX_RECOGNIZED_ESCAPES:
         return None
     match = _line_matcher()(data, start, end)
     if match is None:

@@ -17,6 +17,8 @@ from .kernel import HandlerError, HandlerRegistry
 EMAIL_SEND = "email.send"
 DB_QUERY = "db.query"
 WEB_BROWSE = "web.browse"
+# The encoder json.dumps(rows, sort_keys=True, separators=(",", ":")) builds per call.
+_encode_rows = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # Obviously fake fixture data for the pre-seeded tables.
 _SENSITIVE_ROWS = [
@@ -106,13 +108,13 @@ def _query_table(world: SimWorld, directive: Directive) -> str:
     if rows is None:
         raise HandlerError(f"{DB_QUERY}: unknown table {table!r}")
     if select == "*":
-        projected = [dict(row) for row in rows]
+        projected = rows
     else:
         if any(select not in row for row in rows):
             raise HandlerError(f"{DB_QUERY}: unknown column {select!r} in {table!r}")
         projected = [row[select] for row in rows]
     world._journal.append((DB_QUERY, directive.id))
-    return json.dumps(projected, sort_keys=True, separators=(",", ":"))
+    return _encode_rows(projected)
 
 
 def _fetch_url(world: SimWorld, directive: Directive) -> str:

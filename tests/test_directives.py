@@ -5,11 +5,21 @@ import enum
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from effectgov import Chain, DirectiveError, ExecStatus, Phase, TrustLevel, seeded_world
+from effectgov import (
+    Chain,
+    DirectiveError,
+    ExecStatus,
+    Phase,
+    TrustLevel,
+    import_chain,
+    seeded_world,
+)
+from effectgov import provenance as provenance_module
 from effectgov.decisions import ALLOW_GRANTED
 from effectgov.directives import (
     JSON_ERRORS,
@@ -381,6 +391,114 @@ def test_unencodable_directives_fail_like_the_reference(params, issuer):
     with pytest.raises(DirectiveError) as excinfo:
         Directive(1, "a.b", params, issuer, TrustLevel.AGENT, Phase.PLAN)
     assert str(excinfo.value) == f"directive has no canonical encoding: {reference.value}"
+
+
+# Strings of 200-3,000 characters, on both sides of the length from which
+# strings are escaped on their UTF-8 bytes. Each repeats a drawn motif to a
+# drawn length, so a long string costs hypothesis no more draws than its
+# motif. A motif mixes any non-control text with the characters an escaper
+# can get wrong, from one of three sets: no control at all, only the five
+# controls with a two-character escape, or other controls as well, which
+# are spelled \u00XX.
+_LONG_SPECIALS = ['"', "\\", "\x7f", "\x85", "é", "\u2028", "\u2029", "\U0001f600", "\U0010ffff"]
+long_oracle_text = st.builds(
+    lambda motif, size: (motif * (size // len(motif) + 1))[:size],
+    st.sampled_from([
+        _LONG_SPECIALS,
+        _LONG_SPECIALS + ["\n", "\t", "\b", "\f", "\r"],
+        _LONG_SPECIALS + ["\n", "\t", "\x00", "\x1f"],
+    ]).flatmap(
+        lambda specials: st.lists(
+            st.one_of(
+                st.sampled_from(specials),
+                st.text(st.characters(exclude_categories=("Cs", "Cc")), min_size=1, max_size=8),
+            ),
+            min_size=1,
+            max_size=24,
+        ).map("".join)
+    ),
+    st.integers(min_value=200, max_value=3000),
+)
+
+
+def directive_fields(id, kind, params, issuer, trust, phase) -> dict:
+    """A directive's fields as the reference encoder is given them."""
+    return {"id": id, "issuer": issuer, "kind": kind, "params": params, "phase": phase.value,
+            "required_capability": kind, "trust": trust.wire_name}
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(
+    value=long_oracle_text,
+    key=st.one_of(oracle_text, long_oracle_text),
+    issuer=st.one_of(oracle_text.filter(bool), long_oracle_text),
+    text_type=st.sampled_from([str, Text]),
+)
+def test_long_strings_match_the_reference_encoder(value, key, issuer, text_type):
+    value = text_type(value)
+    fields = (1, "a.b", {key: value, "z": 1}, issuer, TrustLevel.AGENT, Phase.PLAN)
+    assert Directive(*fields).canonical == reference_bytes(directive_fields(*fields))
+    assert canonical_value_bytes(value) == reference_bytes(value)
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(text=long_oracle_text, data=st.data())
+def test_a_lone_surrogate_in_a_long_string_fails_like_the_reference(text, data):
+    at = data.draw(st.integers(min_value=0, max_value=len(text)))
+    bad = text[:at] + data.draw(st.sampled_from(["\ud800", "\udfff"])) + text[at:]
+    for params, issuer in [({"a": "ok", "b": bad}, "s"), ({"a": "ok"}, bad)]:
+        fields = (1, "a.b", params, issuer, TrustLevel.AGENT, Phase.PLAN)
+        with pytest.raises(ValueError) as reference:
+            reference_bytes(directive_fields(*fields))
+        with pytest.raises(DirectiveError) as excinfo:
+            Directive(*fields)
+        assert str(excinfo.value) == f"directive has no canonical encoding: {reference.value}"
+    with pytest.raises(ValueError) as reference:
+        reference_bytes(bad)
+    with pytest.raises(DirectiveError) as excinfo:
+        canonical_value_bytes(bad)
+    assert str(excinfo.value) == f"value has no canonical encoding: {reference.value}"
+
+
+def with_few_escapes(text: str, limit: int) -> str:
+    """text without '"' and with only its first ``limit`` other escaped characters."""
+    kept = []
+    for char in text:
+        if char == '"':
+            continue
+        if char == "\\" or char < " ":
+            if limit == 0:
+                continue
+            limit -= 1
+        kept.append(char)
+    return "".join(kept)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(text=long_oracle_text)
+def test_long_strings_round_trip_through_import(text):
+    # A line of at most _MAX_RECOGNIZED_ESCAPES backslashes, and no '":' in a
+    # string, is read by the recognizer; one of more is parsed in full.
+    limit = provenance_module._MAX_RECOGNIZED_ESCAPES
+    few = with_few_escapes(text, limit // 2)
+    many = text + "\\" * limit
+    chain = Chain()
+    for id, (value, issuer) in enumerate([(text, text), (few, "s"), (many, many)], 1):
+        directive = Directive(id, "a.b", {"body": value}, issuer, TrustLevel.AGENT, Phase.PLAN)
+        chain.append(directive, ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST)
+    blob = chain.export()
+    parse_line = provenance_module._parse_line
+    with mock.patch.object(provenance_module, "_parse_line", wraps=parse_line) as parsed:
+        imported = import_chain(blob)
+    parsed_in_full = [call.args[1] for call in parsed.call_args_list]
+    assert 1 not in parsed_in_full and 2 in parsed_in_full
+    assert imported == chain and imported.records == chain.records
+    assert [record.directive.canonical for record in imported.records] == [
+        record.directive.canonical for record in chain.records
+    ]
 
 
 @pytest.mark.parametrize("params", [{1: "a", "b": 2}, {"b": 2, 1: "a"}])

@@ -517,18 +517,20 @@ def test_export_racing_an_append_drops_no_line(monkeypatch):
     # export swaps the growing buffer for its bytes. Here another thread
     # exports while an append is between reading the buffer and extending
     # it; the append must not extend a buffer the chain has let go of.
+    # The record body is rendered after the buffer is read and before it is
+    # extended, so the export runs there.
     chain = appended_chain([directive(1)])
-    render = provenance_module._with_this_hash
+    render = provenance_module._record_body
     exporters = []
 
-    def render_during_an_export(body, this_hash):
+    def render_during_an_export(*fields):
         exporter = threading.Thread(target=chain.export)
         exporter.start()
         exporter.join(timeout=0.2)  # waits out the chain's lock, if it holds one
         exporters.append(exporter)
-        return render(body, this_hash)
+        return render(*fields)
 
-    monkeypatch.setattr(provenance_module, "_with_this_hash", render_during_an_export)
+    monkeypatch.setattr(provenance_module, "_record_body", render_during_an_export)
     chain.append(directive(2), ALLOW_GRANTED, ExecStatus.EXECUTED, ZERO_DIGEST)
     monkeypatch.undo()
     exporters[0].join(timeout=10)
