@@ -10,9 +10,10 @@ both depend on it: UTF-8 JSON, object keys sorted lexicographically, no
 insignificant whitespace, integers base-10, booleans ``true``/``false``.
 Directives with equal fields always produce identical bytes. These are the
 bytes ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
-ensure_ascii=False)`` gives, rendered here as bytes into one template for
-the directive's seven keys; a str of ``_LONG_STR`` characters or more is
-escaped on its UTF-8 bytes (``_str_bytes``).
+ensure_ascii=False)`` gives, rendered here as text into one template for
+the directive's seven keys and encoded once. A str value of ``_LONG_STR``
+characters or more is left out of the text and escaped on its UTF-8 bytes,
+which are spliced into the encoded text (``_encode_spliced``).
 
 A directive is built in one pass: ``Directive.__init__``, which the kernel
 calls directly, checks the fields in a fixed order (id, kind, issuer,
@@ -157,36 +158,41 @@ def check_count(value, name: str, minimum: int) -> int:
 
 _encode_str = json.encoder.encode_basestring
 
-# From this many characters a str is escaped on its UTF-8 bytes by C bytes
-# methods, which beat encode_basestring's two passes per character from
-# about 130 characters of ASCII or Latin text and 250 of CJK text (CPython
-# 3.11, 2 shared vCPUs, 2,000 random slices per length).
-_LONG_STR = 256
+# From this many characters a str value is escaped on its UTF-8 bytes, which
+# in a directive beats encode_basestring's two passes per character from
+# 384-448 characters of perfbench's text (CPython 3.11, 2 shared vCPUs).
+_LONG_STR = 448
 _ABOVE_CONTROLS = bytes(range(0x20, 0x100))
-_SHORT_ESCAPES = {b"\b": b"\\b", b"\f": b"\\f", b"\n": b"\\n", b"\r": b"\\r", b"\t": b"\\t"}
-_SHORT_CONTROLS = b"".join(_SHORT_ESCAPES)
+# A long str's place in the text, until its bytes are spliced in: no other
+# JSON text holds a NUL, which the encoder escapes.
+_LONG_PLACE = '"\0"'
 
 
-def _str_bytes(value: str) -> bytes:
-    """``encode_basestring(value).encode("utf-8")``, or its error.
+def _encode_spliced(text: str, spliced: list) -> bytes:
+    """``text`` in UTF-8, with the JSON of the spliced strs in its ``_LONG_PLACE``s.
 
-    A long str is escaped on its UTF-8 bytes: a non-ASCII character encodes
-    to bytes of 0x80 and above, so each byte JSON escapes is ASCII.
+    A spliced str is escaped on its UTF-8 bytes: a non-ASCII character
+    encodes to bytes of 0x80 and above, so each byte JSON escapes is ASCII.
+    One that holds a control byte is left to the encoder.
     """
-    if len(value) < _LONG_STR:
-        return _encode_str(value).encode("utf-8")
     try:
-        raw = str.encode(value, "utf-8")
-    except UnicodeEncodeError:  # raised again, at its position in the encoder's text
-        return _encode_str(value).encode("utf-8")
-    controls = raw.translate(None, _ABOVE_CONTROLS)
-    if controls.translate(None, _SHORT_CONTROLS):  # one spelled \u00XX
-        return _encode_str(value).encode("utf-8")
-    raw = raw.replace(b"\\", b"\\\\").replace(b'"', b'\\"')
-    if controls:
-        for control, escape in _SHORT_ESCAPES.items():
-            raw = raw.replace(control, escape)
-    return b'"%b"' % raw
+        pieces = text.encode("utf-8").split(b"\0")
+        joined = [pieces[0]]
+        for value, piece in zip(spliced, pieces[1:]):
+            raw = str.encode(value, "utf-8")
+            if raw.translate(None, _ABOVE_CONTROLS):
+                raw = _encode_str(value)[1:-1].encode("utf-8")
+            else:
+                raw = raw.replace(b"\\", b"\\\\").replace(b'"', b'\\"')
+            joined += raw, piece
+        return b"".join(joined)
+    except UnicodeEncodeError:
+        # A lone surrogate: encode the whole text, so the error is the
+        # reference encoder's own, at its position in that text.
+        for value in spliced:
+            text = text.replace(_LONG_PLACE, _encode_str(value), 1)
+        text.encode("utf-8")
+        raise
 
 
 def _scalar_json(value) -> str | None:
@@ -212,8 +218,8 @@ def canonical_value_bytes(value: Scalar) -> bytes:
     Raises DirectiveError, ``non-scalar <type>`` for any other value.
     """
     try:
-        if isinstance(value, str):
-            return _str_bytes(value)
+        if isinstance(value, str) and len(value) >= _LONG_STR:
+            return _encode_spliced(_LONG_PLACE, [value])
         text = _scalar_json(value)
         if text is not None:
             return text.encode("utf-8")
@@ -222,12 +228,12 @@ def canonical_value_bytes(value: Scalar) -> bytes:
     raise DirectiveError(f"non-scalar {type(value).__name__}")
 
 
-def _render_params(params) -> tuple[Mapping[str, Scalar], list[bytes]]:
-    """Check params and render them: a key-sorted read-only view and its pairs' JSON.
+def _render_params(params, spliced: list) -> tuple[Mapping[str, Scalar], str]:
+    """Check params and render them: a key-sorted read-only view and its JSON.
 
+    Long str values go on ``spliced`` in key order, their places ``_LONG_PLACE``.
     Raises ValueError (not a DirectiveError) for an int past the int-string
-    limit or, once every pair is checked, a lone surrogate, which the
-    caller reports as having no canonical encoding.
+    limit, which the caller reports as having no canonical encoding.
     """
     # A dict is by far the usual argument; isinstance against the Mapping
     # ABC costs more than the rest of the check.
@@ -237,25 +243,23 @@ def _render_params(params) -> tuple[Mapping[str, Scalar], list[bytes]]:
     for key, value in params.items():
         if not isinstance(key, str):
             raise DirectiveError(f"param key must be a string, got {key!r}")
-        if type(value) is not str:
-            text = _scalar_json(value)
-            if text is None:
-                raise DirectiveError(
-                    f"param {key!r} must be a string, integer or boolean, got {type(value).__name__}"
-                )
-        else:  # a long one is escaped on its bytes below
+        if type(value) is str:
             text = _encode_str(value) if len(value) < _LONG_STR else None
+        elif (text := _scalar_json(value)) is None:
+            raise DirectiveError(
+                f"param {key!r} must be a string, integer or boolean, got {type(value).__name__}"
+            )
         items.append((key, value, text))
     items.sort()
     ordered = {}
-    pairs = []
+    parts = []
     for key, value, text in items:
         ordered[key] = value
         if text is None:
-            pairs.append(b"%b:%b" % (_encode_str(key).encode("utf-8"), _str_bytes(value)))
-        else:
-            pairs.append((_encode_str(key) + ":" + text).encode("utf-8"))
-    return MappingProxyType(ordered), pairs
+            text = _LONG_PLACE
+            spliced.append(value)
+        parts.append(_encode_str(key) + ":" + text)
+    return MappingProxyType(ordered), "{" + ",".join(parts) + "}"
 
 
 # The canonical form's key order; kind, phase and trust go in unescaped
@@ -265,11 +269,8 @@ _CANONICAL_TEMPLATE = (
     '{"id":%d,"issuer":%s,"kind":"%s","params":%s,"phase":"%s",'
     '"required_capability":"%s","trust":"%s"}'
 )
-# The template the bytes are rendered with: the params' braces are its own.
-_CANONICAL_BYTES = _CANONICAL_TEMPLATE.replace('"params":%s', '"params":{%s}').encode()
 # Read without the Enum descriptors, which run Python on every access.
-_TRUST_WIRE = {level: level.wire_name.encode() for level in TrustLevel}
-_PHASE_WIRE = {phase: phase.value.encode() for phase in Phase}
+_TRUST_WIRE = {level: level.wire_name for level in TrustLevel}
 
 
 def _render(id, kind, params, issuer, trust, phase) -> tuple[Mapping[str, Scalar], bytes]:
@@ -279,23 +280,12 @@ def _render(id, kind, params, issuer, trust, phase) -> tuple[Mapping[str, Scalar
     limit or a lone surrogate, which the caller reports as having no
     canonical encoding.
     """
-    wire_kind = kind.encode("ascii")
-    try:
-        params_view, pairs = _render_params(params)
-        canonical = _CANONICAL_BYTES % (
-            id, _str_bytes(issuer), wire_kind, b",".join(pairs),
-            _PHASE_WIRE[phase], wire_kind, _TRUST_WIRE[trust],
-        )
-    except UnicodeEncodeError:
-        # A lone surrogate: encode the text, so the error is the reference
-        # encoder's own and gives the position in that text.
-        pairs = [_encode_str(key) + ":" + _scalar_json(value) for key, value in sorted(params.items())]
-        text = _CANONICAL_TEMPLATE % (
-            id, _encode_str(issuer), kind, "{%s}" % ",".join(pairs), phase.value, kind, trust.wire_name
-        )
-        text.encode("utf-8")
-        raise
-    return params_view, canonical
+    spliced = []
+    params, params_json = _render_params(params, spliced)
+    text = _CANONICAL_TEMPLATE % (
+        id, _encode_str(issuer), kind, params_json, phase._value_, kind, _TRUST_WIRE[trust]
+    )
+    return params, _encode_spliced(text, spliced) if spliced else text.encode("utf-8")
 
 
 def _set_fields(directive, id, kind, params, issuer, trust, phase, canonical) -> None:

@@ -167,11 +167,6 @@ def _record_body(
 _TAIL = b',"this_hash":"%b"}'  # the line's last field, in place of the body's "}"
 
 
-def _with_this_hash(body: bytes, this_hash: bytes) -> bytes:
-    """The chain line of a record body, with its newline."""
-    return body[:-1] + _TAIL % hexlify(this_hash) + b"\n"
-
-
 def record_line(record: ProvenanceRecord) -> bytes:
     """The record's canonical wire line (without trailing newline)."""
     body = _record_body(
@@ -182,7 +177,7 @@ def record_line(record: ProvenanceRecord) -> bytes:
         record.result_digest,
         record.prev_hash,
     )
-    return _with_this_hash(body, record.this_hash)[:-1]
+    return body[:-1] + _TAIL % hexlify(record.this_hash)
 
 
 # Width of the line's _TAIL, filled. Cutting it and restoring the closing

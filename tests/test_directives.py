@@ -399,7 +399,7 @@ def test_unencodable_directives_fail_like_the_reference(params, issuer):
 # motif. A motif mixes any non-control text with the characters an escaper
 # can get wrong, from one of three sets: no control at all, only the five
 # controls with a two-character escape, or other controls as well, which
-# are spelled \u00XX.
+# are spelled \u00XX. A string that holds a control is left to the encoder.
 _LONG_SPECIALS = ['"', "\\", "\x7f", "\x85", "é", "\u2028", "\u2029", "\U0001f600", "\U0010ffff"]
 long_oracle_text = st.builds(
     lambda motif, size: (motif * (size // len(motif) + 1))[:size],
@@ -437,7 +437,8 @@ def directive_fields(id, kind, params, issuer, trust, phase) -> dict:
 )
 def test_long_strings_match_the_reference_encoder(value, key, issuer, text_type):
     value = text_type(value)
-    fields = (1, "a.b", {key: value, "z": 1}, issuer, TrustLevel.AGENT, Phase.PLAN)
+    params = {key: value, "y": value[::-1], "z": 1}  # two long values, spliced in key order
+    fields = (1, "a.b", params, issuer, TrustLevel.AGENT, Phase.PLAN)
     assert Directive(*fields).canonical == reference_bytes(directive_fields(*fields))
     assert canonical_value_bytes(value) == reference_bytes(value)
 
@@ -448,7 +449,8 @@ def test_long_strings_match_the_reference_encoder(value, key, issuer, text_type)
 def test_a_lone_surrogate_in_a_long_string_fails_like_the_reference(text, data):
     at = data.draw(st.integers(min_value=0, max_value=len(text)))
     bad = text[:at] + data.draw(st.sampled_from(["\ud800", "\udfff"])) + text[at:]
-    for params, issuer in [({"a": "ok", "b": bad}, "s"), ({"a": "ok"}, bad)]:
+    # The last case's surrogate is in the text after a long value's place.
+    for params, issuer in [({"a": "ok", "b": bad}, "s"), ({"a": "ok"}, bad), ({"a": text, "b": bad[at:]}, "s")]:
         fields = (1, "a.b", params, issuer, TrustLevel.AGENT, Phase.PLAN)
         with pytest.raises(ValueError) as reference:
             reference_bytes(directive_fields(*fields))
