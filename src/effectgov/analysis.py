@@ -14,14 +14,13 @@ seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .directives import Directive, Phase, TrustLevel, check_count
+from .directives import check_count
 from .policy import Policy
 
 # Exponential draws (one per trial) held at once: 512 KB of float64, which
@@ -60,19 +59,6 @@ def regions(expressiveness: Iterable[str], policy: Policy) -> RegionReport:
         ungoverned=expressible - covered,
         theater=covered - expressible,
     )
-
-
-def enumerate_directive_space(kinds: Iterable[str]) -> Iterator[Directive]:
-    """One directive per (kind, trust, phase), with empty params.
-
-    Decisions are syntactic and read only kind, trust and phase, so a
-    policy's behavior over the given kinds can be checked exhaustively
-    instead of sampled; ids run sequentially through the enumeration, and
-    the issuer is "probe".
-    """
-    counter = itertools.count(1)
-    for kind, trust, phase in itertools.product(kinds, TrustLevel, Phase):
-        yield Directive(next(counter), kind, {}, "probe", trust, phase)
 
 
 def _validate_coverage(coverage: float) -> float:

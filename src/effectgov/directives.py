@@ -218,8 +218,6 @@ def canonical_value_bytes(value: Scalar) -> bytes:
     Raises DirectiveError, ``non-scalar <type>`` for any other value.
     """
     try:
-        if isinstance(value, str) and len(value) >= _LONG_STR:
-            return _encode_spliced(_LONG_PLACE, [value])
         text = _scalar_json(value)
         if text is not None:
             return text.encode("utf-8")

@@ -618,6 +618,11 @@ HOSTILE_CORPUS = [
     b'{"rules": [1]}',
     b'{"capabilities": [1]}',
     b'{"input": 1, "workflow": {"step": []}}',
+    b'{"seq":0,"directive":{"id":1,"issuer":"s","kind":"a.b","params":{},"phase":"plan",'
+    b'"required_capability":"a.b","trust":"agent"},'
+    b'"decision":{"verdict":"deny","reason":"no_capability"},"exec_status":[],'
+    b'"result_digest":"' + b"0" * 64 + b'","prev_hash":"' + b"0" * 64 + b'",'
+    b'"this_hash":"' + b"0" * 64 + b'"}\n',
 ]
 
 # argv for every file-taking argument, given the file and an output path.

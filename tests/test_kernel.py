@@ -29,7 +29,6 @@ from effectgov import (
     seeded_world,
     standard_registry,
 )
-from effectgov.analysis import enumerate_directive_space
 from effectgov.decisions import ALLOW_GRANTED, DENY_NO_CAPABILITY, Decision, decision_from_obj
 from effectgov.directives import Directive
 from effectgov.kernel import ExecutionOutcome
@@ -71,7 +70,8 @@ def test_decide_grid_against_reference():
     ):
         rule = email_rule(min_trust, phases) if covered else None
         policy = Policy([rule] if rule else [])
-        for directive in enumerate_directive_space(["email.send"]):
+        for trust, phase in itertools.product(TrustLevel, Phase):
+            directive = Directive(1, "email.send", {}, "probe", trust, phase)
             decision = decide(policy, directive)
             assert (decision.verdict.value, decision.reason.value) == reference_decision(
                 rule, directive

@@ -239,6 +239,17 @@ def test_a_line_of_many_params_imports_in_memory_bounded_by_the_line():
     assert import_chain(blob).records == kernel.chain.records
 
 
+def test_an_escape_dense_line_imports_in_memory_bounded_by_the_line():
+    # The recognizer keeps state per escape, about 220 times a line of
+    # 30,000 escapes; past 64 backslashes the line takes the full parse,
+    # about 5.5 times.
+    kernel = GovernanceKernel(Policy([]), HandlerRegistry({}), None)
+    kernel.issue("note.write", {"body": "\n" * 30_000}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    blob = kernel.chain.export()
+    assert peak_bytes(lambda: import_chain(blob)) < 40 * len(blob)
+    assert import_chain(blob).records == kernel.chain.records
+
+
 def test_a_long_kind_issues_and_imports_in_memory_bounded_by_the_kind():
     # A kind of 300,000 segments: a grammar that repeats a group per
     # segment peaks near 67 times the kind on issue and 65 times the line
@@ -559,6 +570,26 @@ def test_import_reports_index_of_edited_record():
         assert excinfo.value.index == 3
 
 
+@pytest.mark.parametrize("status", [[], {}, ["executed"]], ids=repr)
+def test_an_unhashable_exec_status_is_a_bad_record_not_a_crash(status, tmp_path, capsys):
+    chain = build_chain(4, seed=3)
+    lines = chain.export().split(b"\n")[:-1]
+    old = b'"exec_status":"%s"' % chain.records[2].exec_status.value.encode()
+    assert lines[2].count(old) == 1
+    lines[2] = lines[2].replace(old, b'"exec_status":' + json.dumps(status).encode())
+    blob = b"".join(line + b"\n" for line in lines)
+    with pytest.raises(ChainIntegrityError) as excinfo:
+        import_chain(blob)
+    assert excinfo.value.index == 2
+    path = tmp_path / "chain.jsonl"
+    path.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"valid": False, "first_bad_index": 2}
+    assert err == ""
+
+
 def test_import_truncated_line_reports_line_number():
     chain = build_chain(4, seed=2)
     blob = chain.export()[:-40]  # cut mid-record
@@ -758,7 +789,8 @@ def test_recognizer_matches_each_line_in_place():
 
 def test_escape_dense_lines_skip_the_recognizer(monkeypatch):
     # One group repeat per escape makes the grammar slower than the full
-    # parse past a few dozen escapes, so such a line never reaches it.
+    # parse past a few dozen escapes, and its state grows with them, so such
+    # a line never reaches it.
     limit = provenance_module._MAX_RECOGNIZED_ESCAPES
     chain = appended_chain([
         directive(1, params={"body": '"' * limit}),
