@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
         return _fail(f"chain {args.chain}: {exc}")
     except ChainIntegrityError as exc:
         obj = {"valid": False, "first_bad_index": exc.index}
-        _emit(obj, args.human, lambda s: [f"INVALID at record {s['first_bad_index']}"])
+        _emit(obj, args.human, lambda s: [f"INVALID at {exc}"])  # "record i: <why>"
         return EXIT_FINDING
     obj = {"valid": True, "records": len(chain), "tip": chain.tip.hex()}
     _emit(obj, args.human, lambda s: [f"valid chain, {s['records']} records, tip {s['tip']}"])

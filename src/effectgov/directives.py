@@ -136,17 +136,19 @@ def check_fields(obj, required, optional, where: str, error: type[Exception]) ->
 
     Every field in ``required`` must be present and no field outside
     ``required`` and ``optional`` may be. Raises ``error`` naming the first
-    unknown field, else the first missing one, in sorted order.
+    unknown field, else the first missing one (sorted), after ``where: `` if any.
     """
     if not isinstance(obj, dict):
-        raise error(f"{where}: must be a JSON object, got {type(obj).__name__}")
-    keys = obj.keys()
-    if keys == required:
+        problem = f"must be a JSON object, got {type(obj).__name__}"
+    elif obj.keys() == required:
         return
-    if not keys <= required | optional:
-        raise error(f"{where}: unknown field {min(keys - required - optional)!r}")
-    if not keys >= required:
-        raise error(f"{where}: missing field {min(required - keys)!r}")
+    elif not obj.keys() <= required | optional:
+        problem = f"unknown field {min(obj.keys() - required - optional)!r}"
+    elif not obj.keys() >= required:
+        problem = f"missing field {min(required - obj.keys())!r}"
+    else:
+        return
+    raise error(f"{where}: {problem}" if where else problem)
 
 
 def check_count(value, name: str, minimum: int) -> int:

@@ -36,7 +36,8 @@ escapes or with more than 256 params, which the grammar reads slower or in
 more memory than the JSON parser, is sliced and parsed in full (JSON, field
 checks, then a re-render compared with the line's bytes), which names the
 fault, so errors do not depend on the path. Links and the other ``Chain``
-rules are then checked over the line bytes, as ``Chain.verify`` does.
+rules are then checked over the line bytes by ``_broken_rule``, the check
+``Chain.append`` and ``Chain.verify`` make too, and an error names the rule.
 
 A chain stores its line bytes once: one buffer, every line with its
 trailing newline, which ``export`` returns and then shares with the chain.
@@ -195,29 +196,40 @@ def _link_hash(prev: bytes, data: bytes, start: int, end: int) -> bytes:
     return hashlib.sha256(prev + data[start : end - _TAIL_SIZE] + b"}").digest()
 
 
-def _first_bad_index(records, data, ends) -> Optional[int]:
-    """Lowest index whose record breaks a ``Chain`` rule, or None if none does.
+def _broken_rule(record, index: int, prev: bytes, last_id: int, link: bytes) -> Optional[str]:
+    """The first ``Chain`` rule ``record`` breaks as record ``index``, or None.
 
-    Record i's line is the bytes of ``data`` before the newline at offset
-    ``ends[i]`` and after the one at ``ends[i - 1]``.
+    ``prev`` and ``last_id`` are the previous record's this_hash and
+    directive id (zeros and 0 at index 0); ``link`` is its line's digest.
     """
-    prev = ZERO_DIGEST
-    last_id = 0
-    start = 0
-    for index, (record, end) in enumerate(zip(records, ends)):
-        if (
-            record.seq != index
-            or record.prev_hash != prev
-            or record.directive.id <= last_id
-            or (record.exec_status is _SKIPPED) is (record.decision is ALLOW_GRANTED)
-            or (record.exec_status is not _EXECUTED and record.result_digest != ZERO_DIGEST)
-            or _link_hash(prev, data, start, end) != record.this_hash
-        ):
-            return index
-        prev = record.this_hash
-        last_id = record.directive.id
-        start = end + 1
+    if record.seq != index:
+        return f"seq {record.seq} is not the record index {index}"
+    if record.prev_hash != prev:
+        return "prev_hash is not the tip of the records before it"
+    if record.directive.id <= last_id:
+        return f"directive id {record.directive.id} is not above the last id {last_id}"
+    if (record.exec_status is _SKIPPED) is (record.decision is ALLOW_GRANTED):
+        return "a record is skipped if and only if it is denied"
+    if record.exec_status is not _EXECUTED and record.result_digest != ZERO_DIGEST:
+        return "only an executed record carries a result digest"
+    if record.this_hash != link:
+        return "this_hash is not the link digest of its line"
     return None
+
+
+def _first_broken_rule(records, data) -> tuple[Optional[int], Optional[str]]:
+    """Index of the first record in ``data``'s lines to break a rule, and the rule.
+
+    (None, None) if every record keeps every rule.
+    """
+    prev, last_id, start = ZERO_DIGEST, 0, 0
+    for index, record in enumerate(records):
+        end = data.find(b"\n", start)
+        rule = _broken_rule(record, index, prev, last_id, _link_hash(prev, data, start, end))
+        if rule is not None:
+            return index, rule
+        prev, last_id, start = record.this_hash, record.directive.id, end + 1
+    return None, None
 
 
 class Chain:
@@ -233,21 +245,21 @@ class Chain:
     A copy is imported from the export, so it is verified again.
 
     The line bytes are stored once, in one buffer that is the export: every
-    line with its trailing newline, and the offset of each line's newline,
-    next to the records built from them. The buffer is a ``bytearray`` while
-    records are appended and immutable ``bytes`` once exported or imported:
-    ``import_chain`` adopts the caller's ``bytes``, ``export`` returns the
-    buffer and keeps it, and the next ``append`` copies it once. The
+    line with its trailing newline, next to the records built from them.
+    The buffer is a ``bytearray`` while records are appended and immutable
+    ``bytes`` once exported or imported: ``import_chain`` adopts the
+    caller's ``bytes``, ``export`` returns the buffer and keeps it, and the
+    next ``append`` copies it once. ``verify`` checks one consistent
+    snapshot: the records and the buffer, taken together under the lock. The
     records' directives hold no canonical bytes of their own: ``append``
     releases them and imported ones never hold them.
     """
 
-    __slots__ = ("_records", "_data", "_ends", "_lock", "_in_issue")
+    __slots__ = ("_records", "_data", "_lock", "_in_issue")
 
     def __init__(self):
         self._records: list[ProvenanceRecord] = []
         self._data: bytes | bytearray = b""
-        self._ends: list[int] = []
         # Held while append grows the buffer and while export swaps it for
         # its immutable copy: unheld, a swap could drop a line just added.
         # The boundary's one lock: kernel.issue holds it from reading
@@ -293,19 +305,10 @@ class Chain:
     ) -> ProvenanceRecord:
         if len(result_digest) != HASH_SIZE:
             raise ValueError(f"result digest must be {HASH_SIZE} bytes")
-        if (exec_status is _SKIPPED) is (decision is ALLOW_GRANTED):
-            raise ValueError("a record is skipped if and only if it is denied")
-        if exec_status is not _EXECUTED and result_digest != ZERO_DIGEST:
-            raise ValueError("only an executed record carries a result digest")
         with self._lock:
             if self._in_issue:
                 raise RuntimeError("a handler cannot append to the chain it is recorded in")
-            last_id = self.last_id
-            if directive.id <= last_id:
-                raise ValueError(f"directive id {directive.id} is not above the last id {last_id}")
             data = self._data
-            if type(data) is bytes:  # empty, imported or exported: copy it once
-                data = self._data = bytearray(data)
             seq = len(self._records)
             prev = self.tip
             body = _record_body(seq, directive, decision, exec_status, result_digest, prev)
@@ -315,16 +318,21 @@ class Chain:
             record = ProvenanceRecord(
                 seq, directive, decision, exec_status, result_digest, prev, this
             )
+            if (rule := _broken_rule(record, seq, prev, self.last_id, this)) is not None:
+                raise ValueError(rule)
+            if type(data) is bytes:  # empty, imported or exported: copy it once
+                data = self._data = bytearray(data)
             data += body
             data[-1:] = _TAIL % hexlify(this) + b"\n"  # the body's "}" becomes the tail
             _set_canonical(directive, None)  # the buffer holds them now
-            self._ends.append(len(data) - 1)
             self._records.append(record)
             return record
 
     def verify(self) -> VerificationReport:
         """Recheck every link over the stored lines; renders nothing."""
-        index = _first_bad_index(self._records, self._data, self._ends)
+        with self._lock:  # records and buffer from the same moment
+            records, data = self._records[:], self._data
+        index, _ = _first_broken_rule(records, data)
         return VerificationReport(valid=index is None, first_bad_index=index)
 
     def export(self) -> bytes:
@@ -342,40 +350,34 @@ class Chain:
             return data
 
 
-_RECORD_KEYS = frozenset(
-    {"seq", "directive", "decision", "exec_status", "result_digest", "prev_hash", "this_hash"}
-)
+_RECORD_KEYS = frozenset(ProvenanceRecord._fields)
 
 
-def _digest_from_hex(value, index: int, name: str) -> bytes:
+def _digest_from_hex(value, name: str) -> bytes:
     """Digest of a hex field; its spelling is left to the canonical compare."""
     try:
         digest = bytes.fromhex(value)
     except (TypeError, ValueError):
         digest = b""
     if len(digest) != HASH_SIZE:
-        raise ChainIntegrityError(index, f"{name} is not 64 lowercase hex characters")
+        raise ValueError(f"{name} is not 64 lowercase hex characters")
     return digest
 
 
 def _record_from_obj(obj, index: int) -> ProvenanceRecord:
     try:
-        check_fields(obj, _RECORD_KEYS, set(), "record", ValueError)
-        seq = check_count(obj["seq"], "seq", 0)
-        directive = directive_from_obj(obj["directive"])
-        decision = decision_from_obj(obj["decision"])
-        status = _status_from_wire(obj["exec_status"])
+        check_fields(obj, _RECORD_KEYS, set(), "", ValueError)  # the index names it
+        return ProvenanceRecord(
+            seq=check_count(obj["seq"], "seq", 0),
+            directive=directive_from_obj(obj["directive"]),
+            decision=decision_from_obj(obj["decision"]),
+            exec_status=_status_from_wire(obj["exec_status"]),
+            result_digest=_digest_from_hex(obj["result_digest"], "result_digest"),
+            prev_hash=_digest_from_hex(obj["prev_hash"], "prev_hash"),
+            this_hash=_digest_from_hex(obj["this_hash"], "this_hash"),
+        )
     except ValueError as exc:
         raise ChainIntegrityError(index, str(exc)) from None
-    return ProvenanceRecord(
-        seq=seq,
-        directive=directive,
-        decision=decision,
-        exec_status=status,
-        result_digest=_digest_from_hex(obj["result_digest"], index, "result_digest"),
-        prev_hash=_digest_from_hex(obj["prev_hash"], index, "prev_hash"),
-        this_hash=_digest_from_hex(obj["this_hash"], index, "this_hash"),
-    )
 
 
 def _parse_line(raw: bytes, index: int) -> ProvenanceRecord:
@@ -537,7 +539,6 @@ def import_chain(data: bytes) -> Chain:
     if data and not data.endswith(b"\n"):
         data += b"\n"
     records = []
-    ends = []
     find = data.find
     start = 0
     while start < len(data):
@@ -546,13 +547,10 @@ def import_chain(data: bytes) -> Chain:
         if record is None:
             record = _parse_line(data[start:end], len(records))
         records.append(record)
-        ends.append(end)
         start = end + 1
-    index = _first_bad_index(records, data, ends)
-    if index is not None:
-        raise ChainIntegrityError(
-            index, "record breaks a chain rule (seq, link, id, status or digest)"
-        )
+    index, rule = _first_broken_rule(records, data)
+    if rule is not None:
+        raise ChainIntegrityError(index, rule)
     chain = Chain()
-    chain._records, chain._data, chain._ends = records, data, ends
+    chain._records, chain._data = records, data
     return chain

@@ -246,6 +246,21 @@ def test_verify_exec_status_against_the_decision_is_a_finding(tmp_path, capsys):
         assert json.loads(stdout) == {"valid": False, "first_bad_index": 0}
 
 
+def test_verify_human_names_the_broken_rule(tmp_path, capsys):
+    # The bundled scenario's chain with its first line repeated: record 1
+    # has seq 0. The JSON report stays the index alone.
+    out = tmp_path / "chain.jsonl"
+    run_cli(capsys, "run", "--scenario", SCENARIO, "--out", str(out))
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(lines[0] + b"".join(lines))
+    code, stdout, _ = run_cli(capsys, "verify", str(out), "--human")
+    assert code == 1
+    assert stdout == "INVALID at record 1: seq 0 is not the record index 1\n"
+    code, stdout, _ = run_cli(capsys, "verify", str(out))
+    assert code == 1
+    assert json.loads(stdout) == {"valid": False, "first_bad_index": 1}
+
+
 def test_verify_garbage_is_usage_error(tmp_path, capsys):
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_bytes(b"not a chain\n")

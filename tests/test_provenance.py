@@ -191,12 +191,12 @@ def test_equal_records_and_outcomes_hash_equal():
 @pytest.mark.parametrize("copy_of", COPIES, ids=("copy", "deepcopy", "pickle"))
 def test_a_copied_chain_is_its_own(copy_of):
     # A twin is imported from the export: an issue on it cannot reach the
-    # original's records, offsets or buffer.
+    # original's records or buffer.
     original = import_chain(build_chain(3, seed=21).export())
     exported = original.export()
     twin = copy_of(original)
     assert twin == original and twin.records == original.records
-    assert twin._records is not original._records and twin._ends is not original._ends
+    assert twin._records is not original._records
     kernel = GovernanceKernel(Policy([]), HandlerRegistry({}), None, twin)
     kernel.issue("note.write", {"n": 1}, "step", TrustLevel.AGENT, Phase.EXECUTE)
     assert len(twin) == 4 and twin.verify().valid
@@ -427,6 +427,63 @@ def test_exec_status_must_agree_with_the_decision():
         assert excinfo.value.index == 0
 
 
+def relinked_last_line_edit(lines, pattern: bytes, new: bytes, rehash=True) -> bytes:
+    """``relink(lines)`` with ``pattern`` replaced by ``new`` in its last line.
+
+    With ``rehash``, that line's this_hash is then hashed again from the
+    line before it, so the edited field is the only thing wrong with it.
+    """
+    *head, last = relink(lines).splitlines(keepends=True)
+    last, count = re.subn(pattern, new, last, count=1)
+    assert count == 1
+    if rehash:
+        prev = bytes.fromhex(json.loads(head[-1])["this_hash"])
+        body = last[: last.index(b',"this_hash":')] + b"}"
+        this = hashlib.sha256(prev + body).hexdigest().encode()
+        last = body[:-1] + b',"this_hash":"%s"}\n' % this
+    return b"".join(head) + last
+
+
+def valid_lines(count):
+    return appended_chain([directive(i) for i in range(1, count + 1)]).export().splitlines()
+
+
+# (chain bytes in which record k breaks one rule and no other, k, the rule's
+# text, whether Chain.append can be handed that record).
+RULE_BREAKS = {
+    "seq": (lambda: relinked_last_line_edit(valid_lines(3), rb'^\{"seq":2,', b'{"seq":5,'),
+            2, "seq 5 is not the record index 2", False),
+    "prev_hash": (lambda: relinked_last_line_edit(valid_lines(3), rb'"prev_hash":"[0-9a-f]{64}"',
+                                                  b'"prev_hash":"%s"' % (b"0" * 64)),
+                  2, "prev_hash is not the tip of the records before it", False),
+    "this_hash": (lambda: relinked_last_line_edit(valid_lines(3), rb'"body":"3"', b'"body":"4"',
+                                                  rehash=False),
+                  2, "this_hash is not the link digest of its line", False),
+    "id": (lambda: relink(valid_lines(2) + valid_lines(2)[1:]),
+           2, "directive id 2 is not above the last id 2", True),
+    "skip": (lambda: relink(valid_lines(1) + disagreeing_status_lines()[1:2]),
+             1, "a record is skipped if and only if it is denied", True),
+    "digest": (lambda: relink(valid_lines(2) + disagreeing_status_lines()[2:]),
+               2, "only an executed record carries a result digest", True),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_BREAKS)
+def test_import_and_append_name_the_rule_a_record_breaks(rule):
+    build, k, text, appendable = RULE_BREAKS[rule]
+    blob = build()
+    with pytest.raises(ChainIntegrityError) as excinfo:
+        import_chain(blob)
+    assert excinfo.value.index == k and str(excinfo.value) == f"record {k}: {text}"
+    if appendable:
+        lines = blob.splitlines(keepends=True)
+        chain = import_chain(b"".join(lines[:k]))
+        bad = provenance_module._parse_line(lines[k].rstrip(b"\n"), k)
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            chain.append(bad.directive, bad.decision, bad.exec_status, bad.result_digest)
+        assert len(chain) == k and chain.export() == b"".join(lines[:k])
+
+
 def test_import_renders_each_record_once_and_verify_renders_none(monkeypatch):
     chain = build_chain(12, seed=6)
     blob = chain.export()
@@ -550,6 +607,34 @@ def test_export_racing_an_append_drops_no_line(monkeypatch):
     assert chain == appended_chain([directive(1), directive(2)])
 
 
+def test_verify_reads_one_snapshot_while_another_thread_exports_and_appends():
+    # export swaps the buffer for its bytes and the next append copies them
+    # into a new buffer. A verify that took the records and the buffer at
+    # different moments would hash records appended since against the old
+    # buffer and call a valid chain invalid.
+    chain = build_chain(1000, seed=5)
+    kernel = GovernanceKernel(Policy([]), HandlerRegistry({}), None, chain)
+    stop = threading.Event()
+
+    def export_and_append():
+        for index in range(5000):
+            if stop.is_set():
+                return
+            chain.export()
+            kernel.issue("note.write", {"n": index}, "step", TrustLevel.AGENT, Phase.EXECUTE)
+
+    writer = threading.Thread(target=export_and_append)
+    writer.start()
+    try:
+        reports = [chain.verify() for _ in range(100)]
+    finally:
+        stop.set()
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert [report for report in reports if not report.valid] == []
+    assert chain.verify().valid and len(chain) > 1000
+
+
 def test_import_reports_index_of_edited_record():
     chain = build_chain(6, seed=3)
     original = chain.export().split(b"\n")[:-1]
@@ -588,6 +673,19 @@ def test_an_unhashable_exec_status_is_a_bad_record_not_a_crash(status, tmp_path,
     out, err = capsys.readouterr()
     assert json.loads(out) == {"valid": False, "first_bad_index": 2}
     assert err == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line[:-1] + b',"extra":1}', "record 3: unknown field 'extra'"),
+    (lambda line: re.sub(rb'"result_digest":"[0-9a-f]{2}', b'"result_digest":"', line),
+     "record 3: result_digest is not 64 lowercase hex characters"),
+], ids=("extra field", "short digest"))
+def test_a_full_parse_message_names_the_record_once(edit, message):
+    lines = build_chain(4, seed=3).export().splitlines(keepends=True)
+    lines[3] = edit(lines[3].rstrip(b"\n")) + b"\n"
+    with pytest.raises(ChainIntegrityError) as excinfo:
+        import_chain(b"".join(lines))
+    assert str(excinfo.value) == message and excinfo.value.index == 3
 
 
 def test_import_truncated_line_reports_line_number():
