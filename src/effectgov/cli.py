@@ -2,8 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 a governance
 finding (non-coterminous regions, invalid chain), 2 usage or parse error,
-including any input file that cannot be read as the expected document.
-Output is machine-readable JSON unless --human is given.
+including any input file that the one reader, _read, cannot read as the
+expected document. Output is machine-readable JSON unless --human is given.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from pathlib import Path
 
 from .analysis import gap_probability, regions, simulate_monitor
 from .bench import REFERENCE_MEDIANS_MS, bench_governed_vs_direct
-from .directives import JSON_ERRORS, DirectiveError, check_fields, load_json
+from .directives import JSON_ERRORS, DirectiveError, check_fields, load_json, validate_kind
 from .kernel import GovernanceKernel
-from .policy import PolicyError, load_policy
+from .policy import load_policy
 from .provenance import ChainFormatError, ChainIntegrityError, ExecStatus, import_chain
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 from .simworld import seeded_world, standard_registry
 from .workflow import WorkflowError, run as run_workflow
 
@@ -39,6 +39,27 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+class _InputError(Exception):
+    """An input file that cannot be read as its document; main exits 2."""
+
+
+def _read(what: str, path, load, errors=JSON_ERRORS):
+    """load(the bytes at path); a fault in either is one _InputError."""
+    try:
+        return load(Path(path).read_bytes())
+    except (OSError, *errors) as exc:
+        raise _InputError(f"{what} {path}: {exc}") from None
+
+
+def _load_manifest(document: bytes) -> frozenset[str]:
+    manifest = load_json(document)
+    check_fields(manifest, {"capabilities"}, set(), "manifest", ValueError)
+    capabilities = manifest["capabilities"]
+    if not isinstance(capabilities, list):
+        raise ValueError("'capabilities' must be a list of effect kinds")
+    return frozenset(validate_kind(item) for item in capabilities)
+
+
 def _emit(obj: dict, human: bool, human_lines) -> None:
     if human:
         for line in human_lines(obj):
@@ -48,21 +69,13 @@ def _emit(obj: dict, human: bool, human_lines) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(Path(args.scenario).read_bytes())
-    except (OSError, ScenarioError) as exc:
-        return _fail(f"scenario {args.scenario}: {exc}")
+    scenario = _read("scenario", args.scenario, load_scenario)
     policy_path = args.policy
     if policy_path is None:
         if scenario.policy_ref is None:
             return _fail("no policy: pass --policy or set 'policy' in the scenario")
         policy_path = Path(args.scenario).parent / scenario.policy_ref
-    try:
-        # A NUL in the path raises ValueError; a PolicyError is one too.
-        policy_path = Path(policy_path).resolve()
-        policy = load_policy(policy_path.read_bytes())
-    except (OSError, ValueError) as exc:
-        return _fail(f"policy {policy_path}: {exc}")
+    policy = _read("policy", policy_path, load_policy)
 
     world = seeded_world()
     kernel = GovernanceKernel(policy, standard_registry(), world)
@@ -122,13 +135,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        data = Path(args.chain).read_bytes()
-    except OSError as exc:
-        return _fail(f"chain {args.chain}: {exc}")
-    try:
-        chain = import_chain(data)
-    except ChainFormatError as exc:
-        return _fail(f"chain {args.chain}: {exc}")
+        chain = _read("chain", args.chain, import_chain, errors=(ChainFormatError,))
     except ChainIntegrityError as exc:
         obj = {"valid": False, "first_bad_index": exc.index}
         _emit(obj, args.human, lambda s: [f"INVALID at {exc}"])  # "record i: <why>"
@@ -139,22 +146,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    try:
-        manifest = load_json(Path(args.capabilities).read_bytes())
-        check_fields(manifest, {"capabilities"}, set(), "manifest", ValueError)
-        capabilities = manifest["capabilities"]
-        if not isinstance(capabilities, list) or not all(
-            isinstance(item, str) for item in capabilities
-        ):
-            raise ValueError("'capabilities' must be a list of strings")
-    except (OSError, *JSON_ERRORS) as exc:
-        return _fail(f"capability manifest {args.capabilities}: {exc}")
-    try:
-        policy = load_policy(Path(args.policy).read_bytes())
-    except (OSError, PolicyError) as exc:
-        return _fail(f"policy {args.policy}: {exc}")
-
-    report = regions(frozenset(capabilities), policy)
+    capabilities = _read("capability manifest", args.capabilities, _load_manifest)
+    policy = _read("policy", args.policy, load_policy)
+    report = regions(capabilities, policy)
     obj = report.to_json_obj()
 
     def lines(s):
@@ -274,7 +268,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Pure composition layer: trees whose leaves may emit directives.
 
-Nothing in this module can reach a world or a handler. A workflow's only
-world-relevant output is the stream of directives its Emit leaves hand to
-the kernel; everything else is deterministic computation over plain
-values. Evaluation order is fixed (left to right, depth first) and
-directive ids are assigned by kernel.issue, which is what makes chains
-concatenate under sequencing.
+Nothing in this module can reach a world or a handler. Nodes are handed
+an issue function, never the kernel: a workflow's only world-relevant
+output is the stream of directives its Emit leaves pass to that function,
+which run makes over kernel.issue; everything else is deterministic
+computation over plain values. Evaluation order is fixed (left to right,
+depth first) and directive ids are assigned by kernel.issue, which is what
+makes chains concatenate under sequencing.
 
 Each node class is the one definition of its node: it evaluates itself
 (_eval), checks its children, its functions and (an Emit) its directive
@@ -80,7 +81,7 @@ class PureStep(Workflow):
     def __post_init__(self) -> None:
         _check_fn(self.fn, "step %r fn", self.name)
 
-    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+    def _eval(self, value: Value, issue, check: bool) -> Value:
         return _call(self.fn, value, check, "step %r", self.name)
 
 
@@ -101,9 +102,9 @@ class Emit(Workflow):
             raise DirectiveError(f"phase must be a Phase, got {self.phase!r}")
         _check_fn(self.params_fn, "emit %r params_fn", self.name)
 
-    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+    def _eval(self, value: Value, issue, check: bool) -> Value:
         params = _call(self.params_fn, value, check, "emit %r params", self.name)
-        return kernel.issue(self.kind, params, self.name, trust, self.phase).result
+        return issue(self, params).result
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,9 @@ class Seq(Workflow):
         for part in self.parts:
             _check_node(part)
 
-    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+    def _eval(self, value: Value, issue, check: bool) -> Value:
         for part in self.parts:
-            value = part._eval(value, kernel, trust, check)
+            value = part._eval(value, issue, check)
         return value
 
 
@@ -134,12 +135,12 @@ class Branch(Workflow):
         _check_node(self.then_arm)
         _check_node(self.else_arm)
 
-    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+    def _eval(self, value: Value, issue, check: bool) -> Value:
         chosen = _call(self.predicate, value, check, "branch predicate")
         if chosen is True:
-            return self.then_arm._eval(value, kernel, trust, check)
+            return self.then_arm._eval(value, issue, check)
         if chosen is False:
-            return self.else_arm._eval(value, kernel, trust, check)
+            return self.else_arm._eval(value, issue, check)
         raise WorkflowError(f"branch predicate returned non-bool {chosen!r}")
 
 
@@ -152,13 +153,13 @@ class Iterate(Workflow):
         _check_fn(self.items_fn, "iterate items_fn")
         _check_node(self.body)
 
-    def _eval(self, value: Value, kernel, trust, check: bool) -> Value:
+    def _eval(self, value: Value, issue, check: bool) -> Value:
         items = _call(self.items_fn, value, check, "iterate items")
         if not isinstance(items, (list, tuple)):
             raise WorkflowError(f"iterate items must be a finite list, got {type(items).__name__}")
         current = value
         for item in items:
-            current = self.body._eval(item, kernel, trust, check)
+            current = self.body._eval(item, issue, check)
         return current
 
 
@@ -175,11 +176,12 @@ def seq(*parts: Workflow) -> Workflow:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final value plus how many directives the run issued.
+    """Final value plus how many directives the run itself issued.
 
-    The provenance the run produced is the tail of ``kernel.chain``:
-    directives_issued records, all of it when the kernel started with a
-    fresh chain.
+    The run's provenance is directives_issued records of ``kernel.chain``,
+    in issue order; other writers of a shared chain may add records
+    between them. With no other writer they are the chain's tail, and all
+    of it when the kernel started with a fresh chain.
     """
 
     output: Value
@@ -195,6 +197,13 @@ def run(
 ) -> RunResult:
     """Evaluate the tree; every Emit leaf becomes exactly one kernel.issue."""
     _check_node(workflow)
-    before = len(kernel.chain)
-    output = workflow._eval(value, kernel, trust, check_determinism)
-    return RunResult(output=output, directives_issued=len(kernel.chain) - before)
+    outcomes = []
+
+    def issue(node: Emit, params):
+        # kernel.issue is looked up per call, since an instance may replace it.
+        outcome = kernel.issue(node.kind, params, node.name, trust, node.phase)
+        outcomes.append(outcome)
+        return outcome
+
+    output = workflow._eval(value, issue, check_determinism)
+    return RunResult(output=output, directives_issued=len(outcomes))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -309,6 +310,19 @@ def test_regions_both_empty(tmp_path, capsys):
                               "--policy", str(policy))
     assert code == 0
     assert json.loads(stdout)["coterminous"] is True
+
+
+def test_regions_manifest_entries_are_effect_kinds(tmp_path, capsys):
+    # A name no policy capability or handler could have is refused, not
+    # reported as ungoverned.
+    manifest = tmp_path / "caps.json"
+    manifest.write_text('{"capabilities": ["email.send", "Email Send!"]}')
+    code, stdout, stderr = run_cli(capsys, "regions", "--capabilities", str(manifest),
+                                   "--policy", POLICY_FILTER)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (f"effectgov: capability manifest {manifest}: effect kind 'Email Send!': "
+                      "invalid character 'E' at index 0\n")
 
 
 def test_simulate_monitor_reports_both_numbers(capsys):
@@ -632,6 +646,7 @@ HOSTILE_CORPUS = [
     b"{}",
     b'{"rules": [1]}',
     b'{"capabilities": [1]}',
+    b'{"capabilities": ["Email Send!"]}',
     b'{"input": 1, "workflow": {"step": []}}',
     b'{"seq":0,"directive":{"id":1,"issuer":"s","kind":"a.b","params":{},"phase":"plan",'
     b'"required_capability":"a.b","trust":"agent"},'
@@ -673,6 +688,46 @@ def test_file_arguments_read_utf8_only(argument, encoding, tmp_path, capsys):
     code, _, stderr = run_cli(capsys, *FILE_ARGUMENTS[argument](str(path), str(tmp_path / "o")))
     assert code == 2
     assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
+
+
+# How each fault makes the path p unreadable.
+PATH_FAULTS = {
+    "missing": lambda path: None,
+    "directory": Path.mkdir,
+    "symlink loop": lambda path: os.symlink(path.name, path),
+}
+
+# The message prefix of each file argument, and of the scenario's reference.
+READS = {
+    "run --scenario": "scenario",
+    "run --policy": "policy",
+    "run policy reference": "policy",
+    "verify": "chain",
+    "regions --capabilities": "capability manifest",
+    "regions --policy": "policy",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PATH_FAULTS))
+@pytest.mark.parametrize("argument", sorted(READS))
+def test_a_path_that_cannot_be_read_is_usage_error(argument, fault, tmp_path, capsys):
+    path = tmp_path / "p"
+    PATH_FAULTS[fault](path)
+    out = tmp_path / "chain.jsonl"
+    if argument == "run policy reference":
+        # A reference is read as joined to the scenario's directory.
+        scenario = json.loads(Path(SCENARIO).read_bytes())
+        scenario["policy"] = path.name
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        argv = ["run", "--scenario", str(tmp_path / "s.json"), "--out", str(out)]
+    else:
+        argv = FILE_ARGUMENTS[argument](str(path), str(out))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"effectgov: {READS[argument]} {path}: ")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    assert not out.exists()
 
 
 def _json_or_none(data: bytes):

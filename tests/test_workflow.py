@@ -25,7 +25,7 @@ from effectgov import (
     step,
 )
 
-from effectgov import branch, seeded_world
+from effectgov import GovernanceKernel, branch, seeded_world, standard_registry
 from effectgov.workflow import Branch, Emit, Iterate, PureStep, Seq, Workflow
 from support import (
     fresh_kernel,
@@ -253,6 +253,25 @@ def test_run_result_counts_match_chain_growth():
     second = run(query_emit(), "b", kernel)
     assert second.directives_issued == 1
     assert len(kernel.chain) == 2
+
+
+def test_run_counts_only_its_own_issues_on_a_shared_chain():
+    # A step that issues on a second kernel over the same chain stands in
+    # for another writer: its record lands between the run's two.
+    kernel = fresh_kernel(ALL_SIM)
+    other = GovernanceKernel(ALL_SIM, standard_registry(), seeded_world(), chain=kernel.chain)
+
+    def meanwhile(value):
+        other.issue("db.query", {"table": "t", "select": "*"}, "other", TrustLevel.AGENT,
+                    Phase.EXECUTE)
+        return value
+
+    mail = email_emit()
+    result = run(seq(mail, step("meanwhile", meanwhile), mail), "v", kernel)
+    assert result.directives_issued == 2
+    assert [record.directive.issuer for record in kernel.chain.records] == [
+        "send", "other", "send"
+    ]
 
 
 def test_seeded_workflows_keep_their_golden_digest():
