@@ -19,7 +19,7 @@ from .bench import REFERENCE_MEDIANS_MS, bench_governed_vs_direct
 from .directives import JSON_ERRORS, DirectiveError, check_fields, load_json, validate_kind
 from .kernel import GovernanceKernel
 from .policy import load_policy
-from .provenance import ChainFormatError, ChainIntegrityError, ExecStatus, import_chain
+from .provenance import ChainIntegrityError, ExecStatus, import_chain
 from .scenario import load_scenario
 from .simworld import seeded_world, standard_registry
 from .workflow import WorkflowError, run as run_workflow
@@ -43,11 +43,13 @@ class _InputError(Exception):
     """An input file that cannot be read as its document; main exits 2."""
 
 
-def _read(what: str, path, load, errors=JSON_ERRORS):
+def _read(what: str, path, load):
     """load(the bytes at path); a fault in either is one _InputError."""
     try:
         return load(Path(path).read_bytes())
-    except (OSError, *errors) as exc:
+    except ChainIntegrityError:  # a finding about a chain that was read: exit 1
+        raise
+    except (OSError, *JSON_ERRORS) as exc:
         raise _InputError(f"{what} {path}: {exc}") from None
 
 
@@ -90,7 +92,7 @@ def _cmd_run(args) -> int:
         # which goes on after the write: a return here would swallow it.
         try:
             Path(args.out).write_bytes(kernel.chain.export())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             prefix = "" if failure is None else f"{failure}; "
             code = _fail(f"{prefix}cannot write chain {args.out}: {exc}")
     if code is not None:
@@ -135,7 +137,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        chain = _read("chain", args.chain, import_chain, errors=(ChainFormatError,))
+        chain = _read("chain", args.chain, import_chain)
     except ChainIntegrityError as exc:
         obj = {"valid": False, "first_bad_index": exc.index}
         _emit(obj, args.human, lambda s: [f"INVALID at {exc}"])  # "record i: <why>"
@@ -200,7 +202,7 @@ def _cmd_bench(args) -> int:
     if args.out:
         try:
             Path(args.out).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             return _fail(f"cannot write report {args.out}: {exc}")
 
     def lines(s):

@@ -35,9 +35,10 @@ record rendered back for comparison. A line it rejects, or one dense with
 escapes or with more than 256 params, which the grammar reads slower or in
 more memory than the JSON parser, is sliced and parsed in full (JSON, field
 checks, then a re-render compared with the line's bytes), which names the
-fault, so errors do not depend on the path. Links and the other ``Chain``
-rules are then checked over the line bytes by ``_broken_rule``, the check
-``Chain.append`` and ``Chain.verify`` make too, and an error names the rule.
+fault, so errors do not depend on the path. In the same pass, ``_walk``,
+which ``Chain.verify`` makes too, checks each record against the one before
+with ``_broken_rule``, as ``Chain.append`` does; the first bad record in line
+order is reported, with its rule, unless a line anywhere is not JSON.
 
 A chain stores its line bytes once: one buffer, every line with its
 trailing newline, which ``export`` returns and then shares with the chain.
@@ -191,11 +192,6 @@ def record_line(record: ProvenanceRecord) -> bytes:
 _TAIL_SIZE = len(_TAIL % bytes(2 * HASH_SIZE))
 
 
-def _link_hash(prev: bytes, data: bytes, start: int, end: int) -> bytes:
-    """Link digest of the line ``data[start:end]``, hashed from the buffer."""
-    return hashlib.sha256(prev + data[start : end - _TAIL_SIZE] + b"}").digest()
-
-
 def _broken_rule(record, index: int, prev: bytes, last_id: int, link: bytes) -> Optional[str]:
     """The first ``Chain`` rule ``record`` breaks as record ``index``, or None.
 
@@ -217,19 +213,27 @@ def _broken_rule(record, index: int, prev: bytes, last_id: int, link: bytes) -> 
     return None
 
 
-def _first_broken_rule(records, data) -> tuple[Optional[int], Optional[str]]:
-    """Index of the first record in ``data``'s lines to break a rule, and the rule.
+def _walk(data, stop: int, record_at) -> Optional[ChainIntegrityError]:
+    """The first fault of the lines in ``data[:stop]``, in line order, or None.
 
-    (None, None) if every record keeps every rule.
+    ``record_at(start, end, index)`` gives line ``index``'s record or raises
+    ChainIntegrityError, and ``_broken_rule`` checks it against the one before.
+    Past a fault lines are read, not checked: a later non-JSON line still raises.
     """
-    prev, last_id, start = ZERO_DIGEST, 0, 0
-    for index, record in enumerate(records):
+    finding, prev, last_id, start, index = None, ZERO_DIGEST, 0, 0, 0
+    while start < stop:
         end = data.find(b"\n", start)
-        rule = _broken_rule(record, index, prev, last_id, _link_hash(prev, data, start, end))
-        if rule is not None:
-            return index, rule
-        prev, last_id, start = record.this_hash, record.directive.id, end + 1
-    return None, None
+        try:
+            record = record_at(start, end, index)
+        except ChainIntegrityError as exc:
+            finding = finding or exc
+        if finding is None:
+            link = hashlib.sha256(prev + data[start : end - _TAIL_SIZE] + b"}").digest()
+            if (rule := _broken_rule(record, index, prev, last_id, link)) is not None:
+                finding = ChainIntegrityError(index, rule)
+            prev, last_id = record.this_hash, record.directive.id
+        start, index = end + 1, index + 1
+    return finding
 
 
 class Chain:
@@ -250,7 +254,7 @@ class Chain:
     ``bytes`` once exported or imported: ``import_chain`` adopts the
     caller's ``bytes``, ``export`` returns the buffer and keeps it, and the
     next ``append`` copies it once. ``verify`` checks one consistent
-    snapshot: the records and the buffer, taken together under the lock. The
+    snapshot: the lines in the buffer, and their records, as of the lock. The
     records' directives hold no canonical bytes of their own: ``append``
     releases them and imported ones never hold them.
     """
@@ -330,10 +334,10 @@ class Chain:
 
     def verify(self) -> VerificationReport:
         """Recheck every link over the stored lines; renders nothing."""
-        with self._lock:  # records and buffer from the same moment
-            records, data = self._records[:], self._data
-        index, _ = _first_broken_rule(records, data)
-        return VerificationReport(valid=index is None, first_bad_index=index)
+        with self._lock:  # a later append only adds lines past stop
+            records, data, stop = self._records, self._data, len(self._data)
+        finding = _walk(data, stop, lambda start, end, index: records[index])
+        return VerificationReport(finding is None, None if finding is None else finding.index)
 
     def export(self) -> bytes:
         """JSON Lines; the exact bytes that were hashed, one record per line.
@@ -523,8 +527,8 @@ def import_chain(data: bytes) -> Chain:
 
     Raises ChainFormatError (with line number) for lines that are not
     valid JSON, and ChainIntegrityError (with record index) for records
-    that parse but are not canonical or do not verify. Every line is parsed
-    before any link is checked.
+    that parse but are not canonical or do not verify: the first such record
+    in line order, unless any line is not JSON.
 
     An exact ``bytes`` that ends in a newline becomes the chain's buffer
     without a copy. Anything else is copied once, since the caller could
@@ -539,18 +543,15 @@ def import_chain(data: bytes) -> Chain:
     if data and not data.endswith(b"\n"):
         data += b"\n"
     records = []
-    find = data.find
-    start = 0
-    while start < len(data):
-        end = find(b"\n", start)
-        record = _recognize(data, start, end)
-        if record is None:
-            record = _parse_line(data[start:end], len(records))
+
+    def record_at(start, end, index):
+        record = _recognize(data, start, end) or _parse_line(data[start:end], index)
         records.append(record)
-        start = end + 1
-    index, rule = _first_broken_rule(records, data)
-    if rule is not None:
-        raise ChainIntegrityError(index, rule)
+        return record
+
+    finding = _walk(data, len(data), record_at)
+    if finding is not None:
+        raise finding
     chain = Chain()
     chain._records, chain._data = records, data
     return chain

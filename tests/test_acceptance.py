@@ -340,3 +340,52 @@ def test_criterion_10_one_record_per_issue_whatever_the_handler_does():
             assert [directive_id for _, directive_id in world.journal] == allow_ids
         assert exercised == set(HANDLER_BEHAVIOURS)
         assert not any(thread.is_alive() for thread in threads)
+
+
+# Edits of one byte of a chain: a flipped bit, a space inserted before the
+# byte, or the byte replaced by "A", by "0" or by the six bytes \u0041.
+CHAIN_EDITS = (
+    lambda byte, rng: bytes([byte ^ 1 << rng.randrange(8)]),
+    lambda byte, rng: b" " + bytes([byte]),
+    lambda byte, rng: b"A",
+    lambda byte, rng: b"0",
+    lambda byte, rng: b"\\u0041",
+)
+
+
+def test_criterion_11_tampering_caught_at_or_before_the_first_edited_record(tmp_path, capsys):
+    with criterion(11, "1-3 edits of 1,000 seeded chains caught at or before the first",
+                   budget_seconds=60.0):
+        path = tmp_path / "chain.jsonl"
+        for trial in range(1_000):
+            rng = random.Random(111_000_000 + trial)
+            kernel = fresh_kernel(random_policy(rng))
+            for _ in range(rng.randint(3, 8)):
+                kind = rng.choice(SIM_KINDS)
+                kernel.issue(kind, valid_params_for(kind, rng), "edit",
+                             rng.choice(list(TrustLevel)), rng.choice(list(Phase)))
+            original = kernel.chain.export()
+            spots = rng.sample(range(len(original)), rng.randint(1, 3))
+            edits = {spot: rng.choice(CHAIN_EDITS)(original[spot], rng) for spot in spots}
+            blob = bytearray(original)
+            for spot in sorted(edits, reverse=True):  # the last first: each spot stays put
+                blob[spot : spot + 1] = edits[spot]
+            blob = bytes(blob)
+            # "A" over "A" or "0" over "0" leaves the byte as it was.
+            changed = [spot for spot, new in edits.items() if new != original[spot : spot + 1]]
+            path.write_bytes(blob)
+            code = cli_main(["verify", str(path)])
+            out = capsys.readouterr().out
+            try:
+                import_chain(blob)
+                expected, index = 0, None
+            except ChainIntegrityError as exc:
+                expected, index = 1, exc.index
+            except ChainFormatError:
+                expected, index = 2, None
+            assert code == expected, f"trial {trial}: exit {code}, import says {expected}"
+            assert (code == 0) == (blob == original), f"trial {trial}"
+            if code == 1:
+                assert json.loads(out)["first_bad_index"] == index, f"trial {trial}"
+                first_edited = original.count(b"\n", 0, min(changed))
+                assert index <= first_edited, f"late detection at trial {trial}"

@@ -690,11 +690,13 @@ def test_file_arguments_read_utf8_only(argument, encoding, tmp_path, capsys):
     assert stderr.startswith("effectgov: ") and stderr.count("\n") == 1
 
 
-# How each fault makes the path p unreadable.
+# How each fault makes the path p unreadable; a NUL in its name cannot be
+# opened at all.
 PATH_FAULTS = {
     "missing": lambda path: None,
     "directory": Path.mkdir,
     "symlink loop": lambda path: os.symlink(path.name, path),
+    "NUL": lambda path: None,
 }
 
 # The message prefix of each file argument, and of the scenario's reference.
@@ -711,7 +713,7 @@ READS = {
 @pytest.mark.parametrize("fault", sorted(PATH_FAULTS))
 @pytest.mark.parametrize("argument", sorted(READS))
 def test_a_path_that_cannot_be_read_is_usage_error(argument, fault, tmp_path, capsys):
-    path = tmp_path / "p"
+    path = tmp_path / ("p\0" if fault == "NUL" else "p")
     PATH_FAULTS[fault](path)
     out = tmp_path / "chain.jsonl"
     if argument == "run policy reference":
@@ -725,9 +727,22 @@ def test_a_path_that_cannot_be_read_is_usage_error(argument, fault, tmp_path, ca
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith(f"effectgov: {READS[argument]} {path}: ")
+    shown = str(path).replace("\0", "\\x00")
+    assert stderr.startswith(f"effectgov: {READS[argument]} {shown}: ")
     assert stderr.count("\n") == 1 and "Traceback" not in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["run", "--scenario", SCENARIO, "--out", "{out}"], "chain"),
+    (["bench", "--iters", "2", "--warmup", "0", "--out", "{out}"], "report"),
+], ids=["run", "bench"])
+def test_an_out_path_holding_a_nul_is_usage_error(argv, what, tmp_path, capsys):
+    out = tmp_path / "o\0ut"
+    code, _, stderr = run_cli(capsys, *[arg.format(out=out) for arg in argv])
+    assert code == 2
+    assert stderr == f"effectgov: cannot write {what} {tmp_path}/o\\x00ut: embedded null byte\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _json_or_none(data: bytes):
@@ -754,13 +769,13 @@ def test_exit_code_is_always_0_1_or_2(argument, data):
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
     if argument == "verify":
-        # Lines are read in order; a first line that is not JSON is a parse
-        # failure, one that is JSON but not a record is a finding.
+        # A line that is not JSON, anywhere, is a parse failure; a file of
+        # JSON lines that are not a chain is a finding.
         lines = data.split(b"\n")
         if lines[-1] == b"":
             lines.pop()
         if lines:
-            assert code == (2 if _json_or_none(lines[0]) is None else 1)
+            assert code == (2 if any(_json_or_none(line) is None for line in lines) else 1)
     elif data in HOSTILE_CORPUS or not isinstance(_json_or_none(data), dict):
         assert code == 2
         assert stderr.getvalue().startswith("effectgov: ")

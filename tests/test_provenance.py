@@ -655,6 +655,52 @@ def test_import_reports_index_of_edited_record():
         assert excinfo.value.index == 3
 
 
+# Faults of line i of a 5-record chain by build_chain(5, seed=3): a canonical
+# edit that breaks record i's link, the record re-spelled with a space, and a
+# line that is not JSON.
+LINE_FAULTS = {
+    "link": lambda line, i: line.replace(b'"issuer":"s%d"' % i, b'"issuer":"t%d"' % i),
+    "respelled": lambda line, i: line.replace(b'{"seq":%d,' % i, b'{"seq": %d,' % i),
+    "not JSON": lambda line, i: b"not a record",
+}
+
+
+@pytest.mark.parametrize("faults, expected", [
+    ({1: "link", 3: "respelled"}, ("record", 1)),
+    ({1: "respelled", 3: "not JSON"}, ("line", 4)),
+    ({1: "link", 3: "not JSON"}, ("line", 4)),
+    ({1: "respelled", 3: "link"}, ("record", 1)),
+], ids=["link, respelled", "respelled, not JSON", "link, not JSON", "respelled, link"])
+def test_two_faults_report_the_first_bad_record_unless_a_line_is_not_json(
+    faults, expected, tmp_path, capsys
+):
+    lines = build_chain(5, seed=3).export().split(b"\n")[:-1]
+    for index, fault in faults.items():
+        edited = LINE_FAULTS[fault](lines[index], index)
+        assert edited != lines[index]
+        lines[index] = edited
+    blob = b"".join(line + b"\n" for line in lines)
+    path = tmp_path / "chain.jsonl"
+    path.write_bytes(blob)
+    capsys.readouterr()
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    kind, number = expected
+    if kind == "record":
+        with pytest.raises(ChainIntegrityError) as excinfo:
+            import_chain(blob)
+        assert excinfo.value.index == number
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"valid": False, "first_bad_index": number}
+    else:
+        with pytest.raises(ChainFormatError) as excinfo:
+            import_chain(blob)
+        assert excinfo.value.line_number == number
+        assert code == 2 and out == ""
+        assert err.startswith(f"effectgov: chain {path}: line {number}: ")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("status", [[], {}, ["executed"]], ids=repr)
 def test_an_unhashable_exec_status_is_a_bad_record_not_a_crash(status, tmp_path, capsys):
     chain = build_chain(4, seed=3)
