@@ -8,9 +8,6 @@ compute the governed/ungoverned/theater region partition, the monitoring
 coverage gap, and governance overhead benchmarks.
 """
 
-from importlib import resources
-from pathlib import Path
-
 from .analysis import gap_probability, layered_cost, regions, simulate_monitor
 from .bench import bench_governed_vs_direct
 from .decisions import DecisionReason, Verdict
@@ -25,13 +22,16 @@ from .workflow import WorkflowError, branch, emit, iterate, run, seq, step
 __version__ = "0.1.0"
 
 
-def bundled_path(name: str) -> Path:
+def bundled_path(name: str) -> "Path":
     """Filesystem path of a bundled scenario/policy file (data/ directory)."""
+    from importlib import resources
+    from pathlib import Path
     return Path(str(resources.files(__name__).joinpath("data", name)))
 
 
 def bundled_data(name: str) -> bytes:
     """Contents of a bundled scenario/policy file."""
+    from importlib import resources
     return resources.files(__name__).joinpath("data", name).read_bytes()
 
 

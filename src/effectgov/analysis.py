@@ -9,7 +9,8 @@ keeps it decidable.
 
 Monte Carlo runs use numpy's PCG64 generator, which is seedable and
 platform-stable, so reported frequencies reproduce exactly for a given
-seed.
+seed. Only simulate_monitor loads numpy, on its first call; importing this
+module, or any other in the package, does not.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .directives import check_count
 from .policy import Policy
@@ -138,6 +137,7 @@ def simulate_monitor(coverage: float, actions: int, trials: int, seed: int) -> f
     # Numpy's geometric inversion divides E by scale; E <= bound gives the
     # verdict that quotient gives, with no divide per draw.
     bound = _breach_bound(scale, limit)
+    import numpy as np  # here, not at the top: nothing else in effectgov loads numpy
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = np.empty(min(_CHUNK, trials))
     below = np.empty(draws.size, dtype=bool)

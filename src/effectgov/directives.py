@@ -98,11 +98,13 @@ phase_from_wire = _wire_reader({phase.value: phase for phase in Phase}, "phase")
 def validate_kind(kind: str) -> str:
     """Check an effect-kind string against the dot-separated grammar.
 
-    Returns the kind unchanged, or raises DirectiveError naming the first
-    offending character and its index.
+    Returns the kind as an exact ``str`` holding its data, whatever a
+    subclass's ``__str__``, ``__eq__`` or ``__hash__`` say, or raises
+    DirectiveError naming the first offending character and its index.
     """
     if not isinstance(kind, str):
         raise DirectiveError(f"effect kind must be a string, got {type(kind).__name__}")
+    kind = str.__str__(kind)
     if _kind_fullmatch(kind):
         return kind
     if kind == "":
@@ -236,13 +238,20 @@ def _render_params(params, spliced: list) -> tuple[Mapping[str, Scalar], str]:
     limit, which the caller reports as having no canonical encoding.
     """
     # A dict is by far the usual argument; isinstance against the Mapping
-    # ABC costs more than the rest of the check.
-    if type(params) is not dict and not isinstance(params, Mapping):
+    # ABC costs more than the rest of the check. Only a dict's exact str keys
+    # are sure to differ: another mapping may repeat a key.
+    unique = type(params) is dict
+    if not unique and not isinstance(params, Mapping):
         raise DirectiveError(f"params must be a mapping, got {type(params).__name__}")
     items = []
     for key, value in params.items():
-        if not isinstance(key, str):
-            raise DirectiveError(f"param key must be a string, got {key!r}")
+        if type(key) is not str:
+            if not isinstance(key, str):
+                raise DirectiveError(f"param key must be a string, got {key!r}")
+            # Its data, whatever its __str__, __eq__ or __lt__ say; two such
+            # keys may hold the same text.
+            key = str.__str__(key)
+            unique = False
         if type(value) is str:
             text = _encode_str(value) if len(value) < _LONG_STR else None
         elif (text := _scalar_json(value)) is None:
@@ -250,6 +259,12 @@ def _render_params(params, spliced: list) -> tuple[Mapping[str, Scalar], str]:
                 f"param {key!r} must be a string, integer or boolean, got {type(value).__name__}"
             )
         items.append((key, value, text))
+    if not unique:
+        seen = set()
+        for key, _, _ in items:
+            if key in seen:
+                raise DirectiveError(f"param key {key!r} is repeated")
+            seen.add(key)
     items.sort()
     ordered = {}
     parts = []
@@ -342,8 +357,10 @@ class Directive:
         if not 0 <= id <= MAX_DIRECTIVE_ID:
             raise DirectiveError(f"directive id {id} outside unsigned 64-bit range")
         if type(kind) is not str or not _kind_fullmatch(kind):
-            validate_kind(kind)
-        if not isinstance(issuer, str) or issuer == "":
+            kind = validate_kind(kind)
+        if type(issuer) is not str and isinstance(issuer, str):
+            issuer = str.__str__(issuer)
+        if type(issuer) is not str or issuer == "":
             raise DirectiveError("issuer must be a non-empty string")
         if not isinstance(trust, TrustLevel):
             raise DirectiveError(f"trust must be a TrustLevel, got {trust!r}")

@@ -67,11 +67,14 @@ class HandlerRegistry:
     """
 
     def __init__(self, handlers: Optional[Mapping[str, Handler]] = None):
-        self._handlers: dict[str, Handler] = dict(handlers or {})
-        for capability, handler in self._handlers.items():
-            validate_kind(capability)
+        self._handlers: dict[str, Handler] = {}
+        for capability, handler in (handlers or {}).items():
+            capability = validate_kind(capability)
             if not callable(handler):
                 raise TypeError(f"handler for {capability!r} is not callable")
+            if capability in self._handlers:
+                raise ValueError(f"two handlers for capability {capability!r}")
+            self._handlers[capability] = handler
 
     def get(self, capability: str) -> Optional[Handler]:
         return self._handlers.get(capability)

@@ -43,7 +43,7 @@ class PolicyRule:
     allowed_phases: frozenset[Phase]
 
     def __post_init__(self):
-        validate_kind(self.capability)
+        object.__setattr__(self, "capability", validate_kind(self.capability))
         if not isinstance(self.min_trust, TrustLevel):
             raise PolicyError(f"min_trust must be a TrustLevel, got {self.min_trust!r}")
         phases = frozenset(self.allowed_phases)

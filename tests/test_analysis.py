@@ -185,7 +185,7 @@ def test_simulate_monitor_streams_through_one_buffer(monkeypatch):
             return super().standard_exponential(*args, out=out, **kwargs)
 
     monkeypatch.setattr(analysis, "_CHUNK", 3_000)
-    monkeypatch.setattr(analysis.np.random, "Generator", SpyGenerator)
+    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
     # Chunking consumes the stream in trial order, so it leaves the result
     # unchanged; every chunk is written into the one buffer, whose size grows
     # with neither the number of trials nor the number of actions.

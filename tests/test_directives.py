@@ -1,5 +1,6 @@
 """Directive construction, validation and canonical serialization."""
 
+import collections.abc
 import dataclasses
 import enum
 import json
@@ -507,6 +508,23 @@ def test_long_strings_round_trip_through_import(text):
 def test_non_string_key_is_a_directive_error_not_a_sort_failure(params):
     with pytest.raises(DirectiveError, match="param key must be a string, got 1"):
         d(params=params)
+
+
+def test_a_mapping_that_lists_a_key_twice_is_refused():
+    # Not a dict, so nothing makes its keys unique; rendered as it lists
+    # them, the key would appear twice in bytes no import takes as canonical.
+    class Twice(collections.abc.Mapping):
+        def __getitem__(self, key):
+            return 1
+
+        def __iter__(self):
+            return iter(["a", "a"])
+
+        def __len__(self):
+            return 2
+
+    with pytest.raises(DirectiveError, match="param key 'a' is repeated"):
+        d(params=Twice())
 
 
 def test_canonical_value_bytes_distinguishes_scalar_types():

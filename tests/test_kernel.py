@@ -8,7 +8,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from effectgov import (
     Chain,
@@ -675,3 +675,141 @@ def test_resumed_kernel_reports_the_imported_theater_hits():
     assert resumed.theater_directive_ids == (1, 3)
     resumed.issue("ghost.cap", {}, "step", TrustLevel.AGENT, Phase.EXECUTE)
     assert resumed.theater_directive_ids == (1, 3, 4)
+
+
+class BrowseText(str):
+    """A kind whose __str__ names another capability than its data."""
+
+    def __str__(self):
+        return "web.browse"
+
+
+class ReversedText(str):
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
+class AlwaysEqualText(str):
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+class IdentityText(str):
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def assert_the_export_replays(kernel):
+    """The chain imports to an equal chain whose every record decides as recorded."""
+    imported = import_chain(kernel.chain.export())
+    assert imported == kernel.chain
+    assert imported.records == kernel.chain.records
+    for record in imported.records:
+        assert decide(kernel.policy, record.directive) == record.decision
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (BrowseText("email.send"), {"to": "a@b.c", "body": "hi"}),
+        ("email.send", {ReversedText("to"): "a@b.c", ReversedText("body"): "hi"}),
+        ("email.send", {"to": "a@b.c", AlwaysEqualText("body"): "hi"}),
+    ],
+    ids=["kind_with_other_str", "keys_with_reversed_lt", "always_equal_key"],
+)
+def test_the_record_states_the_kind_and_keys_that_ran(kind, params):
+    # The kind and keys are taken as exact str copies of their data, so the
+    # record names the handler that ran and its params in canonical order.
+    kernel = fresh_kernel(Policy([email_rule()]))
+    outcome = kernel.issue(kind, params, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert outcome.performed
+    assert_the_export_replays(kernel)
+    directive = outcome.record.directive
+    assert type(directive.kind) is str and directive.kind == "email.send"
+    assert kernel.world.journal == (("email.send", 1),)
+    assert all(type(key) is str for key in directive.params)
+    assert list(directive.params) == ["body", "to"]
+    assert directive == Directive(1, "email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                                  TrustLevel.AGENT, Phase.EXECUTE)
+    assert directive.canonical == Directive(1, "email.send", {"body": "hi", "to": "a@b.c"},
+                                            "step", TrustLevel.AGENT, Phase.EXECUTE).canonical
+
+
+def test_two_keys_holding_the_same_text_are_refused_before_any_effect():
+    kernel = fresh_kernel(Policy([email_rule()]))
+    params = {IdentityText("to"): "a@b.c", IdentityText("to"): "x@y.z", "body": "hi"}
+    assert len(params) == 3
+    with pytest.raises(DirectiveError, match="param key 'to' is repeated"):
+        kernel.issue("email.send", params, "step", TrustLevel.AGENT, Phase.EXECUTE)
+    assert len(kernel.chain) == 0 and kernel.world.journal == ()
+    outcome = kernel.issue("email.send", {"to": "a@b.c", "body": "hi"}, "step",
+                           TrustLevel.AGENT, Phase.EXECUTE)
+    assert outcome.record.directive.id == 1
+    assert_the_export_replays(kernel)
+
+
+def test_policy_and_registry_take_a_capability_by_its_data():
+    def handler(world, directive):
+        return "x"
+
+    def rule(capability):
+        return PolicyRule(capability, TrustLevel.AGENT, frozenset({Phase.EXECUTE}))
+
+    assert type(rule(BrowseText("email.send")).capability) is str
+    assert list(Policy([rule(BrowseText("email.send"))]).rules) == ["email.send"]
+    with pytest.raises(ValueError, match="rules\\[1\\]: duplicate capability 'a.b'"):
+        Policy([rule(IdentityText("a.b")), rule(IdentityText("a.b"))])
+    registry = HandlerRegistry({BrowseText("email.send"): handler})
+    assert registry.get("email.send") is handler
+    assert [type(capability) for capability in registry.capabilities()] == [str]
+    with pytest.raises(ValueError, match="two handlers for capability 'a.b'"):
+        HandlerRegistry({IdentityText("a.b"): handler, IdentityText("a.b"): handler})
+
+
+TEXT_TYPES = (str, BrowseText, ReversedText, AlwaysEqualText, IdentityText)
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(
+    policy_seed=st.integers(min_value=0, max_value=2**32),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["email.send", "db.query", "web.browse", "ghost.cap"]),
+            st.sampled_from(TEXT_TYPES),  # of the kind
+            st.sampled_from(TEXT_TYPES),  # of the issuer
+            st.sampled_from(TEXT_TYPES),  # of the params keys
+            st.booleans(),  # whether a key is given twice, as two identity-hashed keys
+            st.sampled_from(list(TrustLevel)),
+            st.sampled_from(list(Phase)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_hostile_typed_fields_are_recorded_as_the_values_that_ran(policy_seed, steps):
+    rng = random.Random(policy_seed)
+    policy = random_policy(rng)
+    kernel = fresh_kernel(policy)
+    for kind, kind_type, issuer_type, key_type, repeat, trust, phase in steps:
+        params = valid_params_for(kind if kind != "ghost.cap" else "web.browse", rng)
+        params = {key_type(key): value for key, value in params.items()}
+        if repeat:
+            params[IdentityText("n")] = 1
+            params[IdentityText("n")] = 2
+        before = len(kernel.chain)
+        try:
+            outcome = kernel.issue(kind_type(kind), params, issuer_type("step"), trust, phase)
+        except DirectiveError:
+            assert repeat and len(kernel.chain) == before
+            continue
+        assert not repeat
+        directive = outcome.record.directive
+        assert (directive.kind, directive.issuer) == (kind, "step")
+        assert {type(field) for field in (directive.kind, directive.issuer, *directive.params)} == {str}
+    kinds = {record.directive.id: record.directive.kind for record in kernel.chain.records}
+    assert all(kinds[directive_id] == kind for kind, directive_id in kernel.world.journal)
+    assert_the_export_replays(kernel)
